@@ -9,7 +9,7 @@ group scheme.
 
 import argparse
 
-from atiyah import classify, correspondence_grid
+from atiyah import correspondence_grid
 
 
 def main():
@@ -21,22 +21,21 @@ def main():
     )
     args = parser.parse_args()
 
-    cells = correspondence_grid(args.rmax, args.nmax)
+    reports = correspondence_grid(args.rmax, args.nmax)
     print(f"{'rank':>4} {'torsion':>7} {'dim R':>5} {'dim G':>5}  presentation / group")
-    for cell in cells:
-        report = classify(cell.rank, cell.torsion)
+    for report in reports:
         extra = ""
         if args.details:
             extra = f"  {report.presentation} / {report.group}"
             if report.minimality_note:
                 extra += "  [minimal beyond ring modulus]"
-        mark = "" if cell.holds else "  <-- MISMATCH"
+        mark = "" if report.correspondence_holds else "  <-- MISMATCH"
         print(
-            f"{cell.rank:>4} {cell.torsion:>7} {cell.krull_dim:>5} {cell.group_dim:>5}"
-            f"{extra}{mark}"
+            f"{report.rank:>4} {report.torsion:>7} {report.krull_dim:>5} "
+            f"{report.group.dimension:>5}{extra}{mark}"
         )
-    holding = sum(1 for c in cells if c.holds)
-    print(f"\ncorrespondence holds in {holding}/{len(cells)} cells")
+    holding = sum(1 for r in reports if r.correspondence_holds)
+    print(f"\ncorrespondence holds in {holding}/{len(reports)} cells")
 
 
 if __name__ == "__main__":

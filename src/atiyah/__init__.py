@@ -12,26 +12,20 @@ from .bundles import (
     IndecomposableBundle,
     KRingElement,
     TorsionContext,
-    det_exponent,
     dual,
-    rank,
     sym_power_f2,
-    tensor,
     tensor_indec,
-    tensor_power,
 )
 from .characters import (
     BivariateCharacter,
     NotACharacterError,
     OracleCheck,
-    bracket,
     character,
     decompose_character,
     oracle_check,
 )
 from .classify import (
     ClassificationReport,
-    GridCell,
     GroupScheme,
     IndexFamily,
     IntegerPolynomial,
@@ -52,7 +46,6 @@ from .classify import (
 from .expressions import (
     ExpressionError,
     evaluate_expression,
-    format_bundle_sum,
     parse_expression,
 )
 
@@ -64,7 +57,6 @@ __all__ = [
     "ClassificationReport",
     "ContextMismatchError",
     "ExpressionError",
-    "GridCell",
     "GroupScheme",
     "IndecomposableBundle",
     "IndexFamily",
@@ -77,27 +69,21 @@ __all__ = [
     "RingPresentation",
     "SSetDescription",
     "TorsionContext",
-    "bracket",
     "character",
     "classify",
     "correspondence_grid",
     "decompose_character",
-    "det_exponent",
     "dual",
     "evaluate_expression",
     "express_in_generator",
-    "format_bundle_sum",
     "krull_dimension",
     "oracle_check",
     "p1_classify",
     "p1_s_set_enumerate",
     "parse_expression",
-    "rank",
     "s_set_enumerate",
     "s_set_reachable",
     "s_set_symbolic",
     "sym_power_f2",
-    "tensor",
     "tensor_indec",
-    "tensor_power",
 ]

@@ -14,13 +14,15 @@ powers).
 
 A :class:`TorsionContext` fixes the multiplicative order of L once per
 computation; exponents are canonicalized at construction so that equality of
-sums is plain structural equality.
+sums is plain structural equality.  :class:`KRingElement` holds signed
+Z-linear combinations of classes; :class:`BundleSum` is its non-negative view,
+the actual direct sums.  Both multiply through one kernel, :func:`_cg_product`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 
 class ContextMismatchError(ValueError):
@@ -112,6 +114,36 @@ def component_indices(r: int, s: int) -> range:
     return range(hi - lo + 1, hi + lo, 2)
 
 
+def _cg_product(
+    context: TorsionContext,
+    x: Mapping[IndecomposableBundle, int],
+    y: Mapping[IndecomposableBundle, int],
+) -> dict[IndecomposableBundle, int]:
+    """Terms of x ⊗ y: the Clebsch-Gordan rule extended bilinearly.
+
+    Line exponents add, and each pair F_r, F_s contributes every F_j with j
+    in ``component_indices(r, s)`` at the product of the two coefficients.
+    Coefficients that cancel to zero are dropped once, at the end.
+    """
+    acc: dict[IndecomposableBundle, int] = {}
+    reduce = context.reduce_exponent
+    for a, ca in x.items():
+        for b, cb in y.items():
+            c = ca * cb
+            e = reduce(a.exponent + b.exponent)
+            for j in component_indices(a.index, b.index):
+                key = IndecomposableBundle(e, j)
+                acc[key] = acc.get(key, 0) + c
+    return _drop_zeros(acc)
+
+
+def _drop_zeros(acc: dict[IndecomposableBundle, int]) -> dict[IndecomposableBundle, int]:
+    """Delete zero coefficients in place, which rehashes only the deleted keys."""
+    for b in [b for b, c in acc.items() if not c]:
+        del acc[b]
+    return acc
+
+
 def tensor_indec(
     context: TorsionContext, a: IndecomposableBundle, b: IndecomposableBundle
 ) -> BundleSum:
@@ -120,11 +152,7 @@ def tensor_indec(
     The result is ⊕ L^{e_a+e_b} ⊗ F_j over min(r, s) component indices j,
     each with multiplicity one, of total rank r·s.
     """
-    e = context.reduce_exponent(a.exponent + b.exponent)
-    terms = {
-        IndecomposableBundle(e, j): 1 for j in component_indices(a.index, b.index)
-    }
-    return BundleSum(context, terms)
+    return BundleSum(context, _cg_product(context, {a: 1}, {b: 1}))
 
 
 def dual(context: TorsionContext, a: IndecomposableBundle) -> IndecomposableBundle:
@@ -132,13 +160,14 @@ def dual(context: TorsionContext, a: IndecomposableBundle) -> IndecomposableBund
     return context.bundle(-a.exponent, a.index)
 
 
-@dataclass(frozen=True)
-class BundleSum:
-    """A finite direct sum of indecomposables with positive multiplicities.
+@dataclass(frozen=True, eq=False)
+class KRingElement:
+    """An element of the Grothendieck ring K(X): a Z-linear combination of
+    indecomposable classes, multiplied by the tensor rule extended bilinearly.
 
-    The empty sum is the zero object; it only shows up as an arithmetic
-    intermediate (e.g. scaling by 0), never as an isomorphism class of an
-    actual bundle.  Treat instances as immutable.
+    ``terms`` maps canonical classes to nonzero coefficients.  Equality is
+    equality in K(X), so a :class:`BundleSum` equals the element it views.
+    Treat instances as immutable.
     """
 
     context: TorsionContext
@@ -149,33 +178,38 @@ class BundleSum:
         cls,
         context: TorsionContext,
         terms: Mapping[IndecomposableBundle, int] | Iterable[tuple[IndecomposableBundle, int]],
-    ) -> BundleSum:
-        """Build a sum, canonicalizing exponents and dropping zero multiplicities."""
+    ) -> KRingElement:
+        """Build an element, canonicalizing exponents and dropping zero coefficients."""
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[IndecomposableBundle, int] = {}
-        for bundle, mult in items:
-            if mult < 0:
-                raise ValueError("multiplicities must be >= 0")
-            if mult == 0:
-                continue
+        for bundle, c in items:
             key = context.bundle(bundle.exponent, bundle.index)
-            acc[key] = acc.get(key, 0) + mult
-        return cls(context, acc)
+            acc[key] = acc.get(key, 0) + c
+        return cls(context, _drop_zeros(acc))
 
     @classmethod
     def single(
         cls, context: TorsionContext, bundle: IndecomposableBundle, mult: int = 1
-    ) -> BundleSum:
+    ) -> KRingElement:
         return cls.of(context, [(bundle, mult)])
 
     @classmethod
-    def zero(cls, context: TorsionContext) -> BundleSum:
+    def zero(cls, context: TorsionContext) -> KRingElement:
         return cls(context, {})
 
     @classmethod
-    def unit(cls, context: TorsionContext) -> BundleSum:
+    def unit(cls, context: TorsionContext) -> KRingElement:
         """The class of O, the tensor unit."""
         return cls(context, {context.bundle(): 1})
+
+    # Ring-language names for the same constructors.
+    one = unit
+    basis = single
+
+    @staticmethod
+    def from_sum(x: KRingElement) -> KRingElement:
+        """x as a plain ring element, free to take signed coefficients."""
+        return KRingElement(x.context, dict(x.terms))
 
     # -- queries ---------------------------------------------------------
 
@@ -197,45 +231,126 @@ class BundleSum:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KRingElement):
+            return NotImplemented
+        return self.context == other.context and self.terms == other.terms
+
     # -- arithmetic ------------------------------------------------------
 
-    def _check_context(self, other: BundleSum) -> None:
+    def _check_context(self, other: KRingElement) -> type[KRingElement]:
+        """Reject mixed contexts; return the class of a result built from both.
+
+        That class is :class:`BundleSum` only when both operands are bundle sums.
+        """
         if self.context != other.context:
             raise ContextMismatchError(
-                f"cannot combine bundles over {self.context} and {other.context}"
+                f"cannot combine values over {self.context} and {other.context}"
             )
+        if isinstance(self, BundleSum) and isinstance(other, BundleSum):
+            return BundleSum
+        return KRingElement
 
-    def __add__(self, other: BundleSum) -> BundleSum:
-        self._check_context(other)
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = KRingElement.unit(self.context).scale(other)
+        if not isinstance(other, KRingElement):
+            return NotImplemented
+        cls = self._check_context(other)
         acc = dict(self.terms)
-        for b, m in other.terms.items():
-            acc[b] = acc.get(b, 0) + m
-        return BundleSum(self.context, acc)
+        for b, c in other.terms.items():
+            v = acc.get(b, 0) + c
+            if v:
+                acc[b] = v
+            else:
+                acc.pop(b, None)
+        return cls(self.context, acc)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> KRingElement:
+        return KRingElement(self.context, {b: -c for b, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, (int, KRingElement)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, k: int) -> KRingElement:
+        if k == 0:
+            return type(self).zero(self.context)
+        return type(self)(self.context, {b: k * c for b, c in self.terms.items()})
+
+    def tensor(self, other: KRingElement) -> KRingElement:
+        """Product by the tensor rule, extended bilinearly."""
+        cls = self._check_context(other)
+        return cls(self.context, _cg_product(self.context, self.terms, other.terms))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        if not isinstance(other, KRingElement):
+            return NotImplemented
+        return self.tensor(other)
+
+    __rmul__ = __mul__
+
+    def dual(self) -> KRingElement:
+        """Dual class, extended linearly; it permutes the canonical classes."""
+        ctx = self.context
+        return type(self)(ctx, {dual(ctx, b): c for b, c in self.terms.items()})
+
+    def __pow__(self, power: int) -> KRingElement:
+        """Ring power.  The dual is not the ring inverse, so power must be >= 0."""
+        if power < 0:
+            raise ValueError("ring powers must be >= 0")
+        result = KRingElement.unit(self.context)
+        for _ in range(power):
+            result = result * self
+        return result
+
+    def __str__(self) -> str:
+        """Terms by index then exponent, e.g. ``2 F_2 + F_4`` or ``2 F_2 - F_4``."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for b in self.support():
+            c = self.terms[b]
+            sign = "-" if c < 0 else "+"
+            parts.append(f"{sign} {b}" if abs(c) == 1 else f"{sign} {abs(c)} {b}")
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+class BundleSum(KRingElement):
+    """The non-negative view of :class:`KRingElement`: a finite direct sum of
+    indecomposables with positive multiplicities.
+
+    Negative multiplicities are rejected where they enter (:meth:`of`,
+    :meth:`single`, :meth:`scale`).  Direct sums, tensor products, duals and
+    scalings by k >= 0 of bundle sums are bundle sums; subtraction, negation
+    or any signed operand gives a :class:`KRingElement`.  The empty sum is the
+    zero object; it only shows up as an arithmetic intermediate (e.g. scaling
+    by 0), never as an isomorphism class of an actual bundle.
+    """
+
+    @classmethod
+    def of(
+        cls,
+        context: TorsionContext,
+        terms: Mapping[IndecomposableBundle, int] | Iterable[tuple[IndecomposableBundle, int]],
+    ) -> BundleSum:
+        """Build a sum, canonicalizing exponents and dropping zero multiplicities."""
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        for _, m in items:
+            if m < 0:
+                raise ValueError("multiplicities must be >= 0")
+        return super().of(context, items)
 
     def scale(self, k: int) -> BundleSum:
         if k < 0:
             raise ValueError("multiplicities must be >= 0")
-        if k == 0:
-            return BundleSum.zero(self.context)
-        return BundleSum(self.context, {b: k * m for b, m in self.terms.items()})
-
-    def tensor(self, other: BundleSum) -> BundleSum:
-        self._check_context(other)
-        acc: dict[IndecomposableBundle, int] = {}
-        reduce = self.context.reduce_exponent
-        for a, ma in self.terms.items():
-            for b, mb in other.terms.items():
-                m = ma * mb
-                e = reduce(a.exponent + b.exponent)
-                for j in component_indices(a.index, b.index):
-                    key = IndecomposableBundle(e, j)
-                    acc[key] = acc.get(key, 0) + m
-        return BundleSum(self.context, acc)
-
-    def dual(self) -> BundleSum:
-        return BundleSum.of(
-            self.context, [(dual(self.context, b), m) for b, m in self.terms.items()]
-        )
+        return super().scale(k)
 
     def tensor_power(self, power: int) -> BundleSum:
         """|power|-fold tensor power, dualizing first for negative powers.
@@ -252,148 +367,12 @@ class BundleSum:
             result = result.tensor(base)
         return result
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if isinstance(other, BundleSum):
-            return self.tensor(other)
-        return NotImplemented
+    __pow__ = tensor_power
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, power: int) -> BundleSum:
-        return self.tensor_power(power)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for b in self.support():
-            m = self.terms[b]
-            parts.append(str(b) if m == 1 else f"{m} {b}")
-        return " + ".join(parts)
-
-
-def tensor(x: BundleSum, y: BundleSum) -> BundleSum:
-    return x.tensor(y)
-
-
-def tensor_power(x: BundleSum, power: int) -> BundleSum:
-    return x.tensor_power(power)
-
-
-def rank(x: BundleSum) -> int:
-    return x.rank()
-
-
-def det_exponent(x: BundleSum) -> int:
-    return x.det_exponent()
-
-
-@dataclass(frozen=True)
-class KRingElement:
-    """An element of the Grothendieck ring K(X): a Z-linear combination of
-    indecomposable classes, with multiplication extended bilinearly from the
-    tensor rule.  Coefficients may be negative, unlike :class:`BundleSum`.
-    """
-
-    context: TorsionContext
-    coeffs: dict[IndecomposableBundle, int] = field(default_factory=dict)
-
-    @classmethod
-    def zero(cls, context: TorsionContext) -> KRingElement:
-        return cls(context, {})
-
-    @classmethod
-    def one(cls, context: TorsionContext) -> KRingElement:
-        return cls(context, {context.bundle(): 1})
-
-    @classmethod
-    def basis(cls, context: TorsionContext, bundle: IndecomposableBundle) -> KRingElement:
-        return cls(context, {context.bundle(bundle.exponent, bundle.index): 1})
-
-    @classmethod
-    def from_sum(cls, x: BundleSum) -> KRingElement:
-        return cls(x.context, dict(x.terms))
-
-    def _check_context(self, other: KRingElement) -> None:
-        if self.context != other.context:
-            raise ContextMismatchError(
-                f"cannot combine ring elements over {self.context} and {other.context}"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = other * KRingElement.one(self.context)
-        if not isinstance(other, KRingElement):
-            return NotImplemented
-        self._check_context(other)
-        acc = dict(self.coeffs)
-        for b, c in other.coeffs.items():
-            v = acc.get(b, 0) + c
-            if v:
-                acc[b] = v
-            else:
-                acc.pop(b, None)
-        return KRingElement(self.context, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> KRingElement:
-        return KRingElement(self.context, {b: -c for b, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = other * KRingElement.one(self.context)
-        if not isinstance(other, KRingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return KRingElement.zero(self.context)
-            return KRingElement(self.context, {b: other * c for b, c in self.coeffs.items()})
-        if not isinstance(other, KRingElement):
-            return NotImplemented
-        self._check_context(other)
-        acc: dict[IndecomposableBundle, int] = {}
-        reduce = self.context.reduce_exponent
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                c = ca * cb
-                e = reduce(a.exponent + b.exponent)
-                for j in component_indices(a.index, b.index):
-                    key = IndecomposableBundle(e, j)
-                    v = acc.get(key, 0) + c
-                    if v:
-                        acc[key] = v
-                    else:
-                        acc.pop(key, None)
-        return KRingElement(self.context, acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> KRingElement:
-        if power < 0:
-            raise ValueError("ring powers must be >= 0")
-        result = KRingElement.one(self.context)
-        for _ in range(power):
-            result = result * self
-        return result
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for b in sorted(self.coeffs, key=IndecomposableBundle.sort_key):
-            c = self.coeffs[b]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = f"[{b}]" if mag == 1 else f"{mag}[{b}]"
-            parts.append(f"{sign} {body}")
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else text
+    # Shared implementations, bound here as well so that BundleSum's own
+    # namespace holds every operation on sums (perfbench/tracing.py wraps
+    # them there).
+    __add__ = KRingElement.__add__
+    __str__ = KRingElement.__str__
+    tensor = KRingElement.tensor
+    dual = KRingElement.dual

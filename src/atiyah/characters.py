@@ -15,7 +15,6 @@ between the two routes is a genuine cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping
 
 from .bundles import BundleSum, ContextMismatchError, IndecomposableBundle, TorsionContext
@@ -126,14 +125,6 @@ class BivariateCharacter:
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else text
-
-
-@lru_cache(maxsize=None)
-def bracket(context: TorsionContext, r: int) -> BivariateCharacter:
-    """[r]_q: the weight character of F_r, at t-exponent zero."""
-    if r < 1:
-        raise ValueError("bracket index must be >= 1")
-    return BivariateCharacter(context, {(0, r - 1 - 2 * k): 1 for k in range(r)})
 
 
 def character(x: BundleSum) -> BivariateCharacter:

@@ -448,11 +448,13 @@ def classify(rank: int, torsion: int) -> ClassificationReport:
             generators=("[L^2]", "[L*F_2]"),
         )
         group = GroupScheme((f"mu_{n}", "Ga"))
+        det = rank % n
         minimality = (
-            f"mu_{m} x Ga does not suffice: a line bundle made trivial on a "
-            f"mu_{m} x Ga torsor must have order dividing {m}, while "
-            f"det E = L has exact order {n}; the minimal group is mu_{n} x Ga "
-            f"even though the ring modulus is {m}"
+            f"mu_{m} x Ga does not suffice, although det E = {s_set.context.line(det)} "
+            f"has order {n // math.gcd(n, det)}, which divides {m}: by Atiyah's "
+            f"classification L*F_{rank} determines L, so a torsor that trivializes E "
+            f"also trivializes L, and L has exact order {n}; the minimal group is "
+            f"mu_{n} x Ga even though the ring modulus is {m}"
         )
     else:
         gen = "[F_2]" if rank % 2 == 0 else "[F_3]"
@@ -475,27 +477,17 @@ def classify(rank: int, torsion: int) -> ClassificationReport:
     )
 
 
-@dataclass(frozen=True)
-class GridCell:
-    rank: int
-    torsion: int
-    krull_dim: int
-    group_dim: int
-    holds: bool
+def correspondence_grid(r_max: int, n_max: int) -> tuple[ClassificationReport, ...]:
+    """Reports for every (rank, torsion) in [1..r_max] x [0..n_max], rank-major.
 
-
-def correspondence_grid(r_max: int, n_max: int) -> tuple[GridCell, ...]:
-    """dim R(E) vs dim G over every (rank, torsion) in [1..r_max] x [0..n_max]."""
+    Each report carries dim R(E) (``krull_dim``), dim G (``group.dimension``)
+    and whether they agree (``correspondence_holds``).
+    """
     if r_max < 1 or n_max < 0:
         raise ValueError("grid bounds must cover at least one cell")
-    cells = []
-    for r in range(1, r_max + 1):
-        for n in range(0, n_max + 1):
-            report = classify(r, n)
-            cells.append(
-                GridCell(r, n, report.krull_dim, report.group.dimension, report.correspondence_holds)
-            )
-    return tuple(cells)
+    return tuple(
+        classify(r, n) for r in range(1, r_max + 1) for n in range(0, n_max + 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .classify import (
     s_set_enumerate,
     s_set_symbolic,
 )
-from .expressions import ExpressionError, evaluate_expression, format_bundle_sum
+from .expressions import ExpressionError, evaluate_expression
 
 
 class _UsageError(Exception):
@@ -63,7 +63,7 @@ def _decomposition_payload(expression: str, torsion: int, x: BundleSum) -> dict:
         "expression": expression,
         "torsion": torsion,
         "terms": _sum_terms(x),
-        "text": format_bundle_sum(x),
+        "text": str(x),
     }
 
 
@@ -142,7 +142,7 @@ def _cmd_tensor(args) -> tuple[str, int]:
     result = evaluate_expression(args.expression, ctx)
     if args.format == "json":
         return json.dumps(_decomposition_payload(args.expression, args.torsion, result), indent=2), 0
-    return format_bundle_sum(result), 0
+    return str(result), 0
 
 
 def _cmd_power(args) -> tuple[str, int]:
@@ -151,7 +151,7 @@ def _cmd_power(args) -> tuple[str, int]:
     label = f"({args.expression})^{args.exponent}"
     if args.format == "json":
         return json.dumps(_decomposition_payload(label, args.torsion, result), indent=2), 0
-    return format_bundle_sum(result), 0
+    return str(result), 0
 
 
 def _cmd_sset(args) -> tuple[str, int]:
@@ -239,7 +239,7 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def _cmd_grid(args) -> tuple[str, int]:
     cells = correspondence_grid(args.rmax, args.nmax)
-    holding = sum(1 for c in cells if c.holds)
+    holding = sum(1 for c in cells if c.correspondence_holds)
     ok = holding == len(cells)
     if args.format == "json":
         payload = {
@@ -248,8 +248,8 @@ def _cmd_grid(args) -> tuple[str, int]:
                     "rank": c.rank,
                     "torsion": c.torsion,
                     "krull_dim": c.krull_dim,
-                    "group_dim": c.group_dim,
-                    "holds": c.holds,
+                    "group_dim": c.group.dimension,
+                    "holds": c.correspondence_holds,
                 }
                 for c in cells
             ],
@@ -259,7 +259,8 @@ def _cmd_grid(args) -> tuple[str, int]:
     lines = ["rank torsion dimR dimG holds"]
     for c in cells:
         lines.append(
-            f"{c.rank:4d} {c.torsion:7d} {c.krull_dim:4d} {c.group_dim:4d} {str(c.holds).lower()}"
+            f"{c.rank:4d} {c.torsion:7d} {c.krull_dim:4d} {c.group.dimension:4d} "
+            f"{str(c.correspondence_holds).lower()}"
         )
     lines.append(f"dimension correspondence holds in {holding}/{len(cells)} cells")
     return "\n".join(lines), 0 if ok else 2
@@ -368,8 +369,12 @@ def main(argv=None) -> int:
         return 2
     print(output)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output + "\n")
+        except OSError as err:
+            print(f"error: cannot write --out file: {err}", file=sys.stderr)
+            return 2
     return status
 
 

@@ -11,7 +11,8 @@ Grammar (precedence high to low: power, product, sum):
 Whitespace is insignificant.  A leading integer in a term is a multiplicity
 (a bare integer k means k copies of O), so canonical renderings such as
 "2 F_2 + F_4" re-parse to the sum they came from.  Powers may be negative;
-they act through the dual.
+they act through the dual.  Parentheses nest at most ``MAX_NESTING`` deep,
+which also bounds the depth of the expression tree.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import BundleSum, TorsionContext
+
+MAX_NESTING = 100
 
 
 class ExpressionError(ValueError):
@@ -96,11 +99,16 @@ class Atiyah(Expression):
 
 @dataclass(frozen=True)
 class Power(Expression):
+    """A chain base^e1^e2^..., applied left to right."""
+
     base: Expression
-    exponent: int
+    exponents: tuple[int, ...]
 
     def evaluate(self, context):
-        return self.base.evaluate(context).tensor_power(self.exponent)
+        result = self.base.evaluate(context)
+        for e in self.exponents:
+            result = result.tensor_power(e)
+        return result
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -191,6 +200,7 @@ class _Parser:
 
     def factor(self) -> Expression:
         node = self.primary()
+        exponents = []
         while self.peek().kind == "caret":
             self.take()
             sign = 1
@@ -198,8 +208,8 @@ class _Parser:
                 self.take()
                 sign = -1
             tok = self.expect("int", "an integer exponent")
-            node = Power(node, sign * tok.value)
-        return node
+            exponents.append(sign * tok.value)
+        return Power(node, tuple(exponents)) if exponents else node
 
     def primary(self) -> Expression:
         tok = self.take()
@@ -210,8 +220,14 @@ class _Parser:
         if tok.kind == "F":
             return Atiyah(self._f_index())
         if tok.kind == "lparen":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExpressionError(
+                    f"parentheses nested more than {MAX_NESTING} deep", tok.position
+                )
             inner = self.expr()
             self.expect("rparen", "a closing parenthesis")
+            self.depth -= 1
             return inner
         raise ExpressionError("expected a bundle atom", tok.position)
 
@@ -242,7 +258,3 @@ def evaluate_expression(src: str, context: TorsionContext) -> BundleSum:
     """Parse and lower to a decomposed bundle sum in one step."""
     return parse_expression(src).evaluate(context)
 
-
-def format_bundle_sum(x: BundleSum) -> str:
-    """Canonical rendering; re-parsing it recovers an equal sum."""
-    return str(x)

@@ -126,6 +126,8 @@ def test_tensor_of_mixed_sum():
 def test_context_mismatch_rejected():
     with pytest.raises(ContextMismatchError):
         BundleSum.unit(TorsionContext(2)).tensor(BundleSum.unit(TorsionContext(3)))
+    with pytest.raises(ContextMismatchError):
+        BundleSum.unit(TorsionContext(2)) + KRingElement.one(TorsionContext(3))
 
 
 @given(contexts, st.data())
@@ -214,6 +216,13 @@ def test_negative_power_uses_dual():
     assert line.tensor_power(-1) == BundleSum.single(ctx, ctx.line(2))
     f2 = BundleSum.single(NT, NT.atiyah(2))
     assert f2.tensor_power(-2) == f2.tensor_power(2)
+    e = BundleSum.single(ctx, ctx.bundle(1, 2))
+    assert e ** -1 == BundleSum.single(ctx, ctx.bundle(2, 2))
+    assert e ** -3 == e.dual() ** 3
+    # In the ring the dual is not the inverse, so negative ring powers are refused.
+    with pytest.raises(ValueError):
+        KRingElement.from_sum(e) ** -1
+    assert KRingElement.from_sum(e) ** 3 == e ** 3
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
@@ -265,12 +274,19 @@ def test_no_zero_multiplicities_stored():
     assert x == BundleSum.zero(NT)
     with pytest.raises(ValueError):
         BundleSum.of(NT, [(NT.atiyah(2), -1)])
+    with pytest.raises(ValueError):
+        BundleSum.single(NT, NT.atiyah(2), -2)
 
 
 def test_scaling():
     f2 = sum_of(NT, (1, 0, 2))
     assert 2 * f2 == sum_of(NT, (2, 0, 2))
     assert 0 * f2 == BundleSum.zero(NT)
+    with pytest.raises(ValueError):
+        f2.scale(-1)
+    with pytest.raises(ValueError):
+        -1 * f2
+    assert -1 * KRingElement.from_sum(f2) == -f2
 
 
 # -- ring axioms for K-ring elements --------------------------------------------------
@@ -304,6 +320,30 @@ def test_kring_multiplication(ctx, data):
 def test_kring_extends_bundle_arithmetic(ctx, data):
     x = data.draw(bundle_sums(ctx))
     y = data.draw(bundle_sums(ctx))
+    k = data.draw(ring_elements(ctx))
+    n = data.draw(st.integers(min_value=0, max_value=3))
     lift = KRingElement.from_sum
+    assert lift(x) == x
     assert lift(x) + lift(y) == lift(x + y)
     assert lift(x) * lift(y) == lift(x.tensor(y))
+    assert lift(x).dual() == x.dual()
+    # BundleSum is the non-negative view: operations that keep coefficients
+    # non-negative keep the view, anything signed leaves it.
+    powers = (x ** 2, x ** -1) if x else ()
+    for value in (x + y, x.tensor(y), x * y, x.dual(), x.scale(n), n * x, *powers):
+        assert type(value) is BundleSum
+    for value in (x - y, -x, x + k, k + x, x * k, k * x, x.tensor(k), x + 1, k.dual(), k.scale(n)):
+        assert type(value) is KRingElement
+
+
+def test_signed_str():
+    f2 = KRingElement.basis(NT, NT.atiyah(2))
+    one = KRingElement.one(NT)
+    # Terms keep the bundle-sum order (index, then exponent); signs join them.
+    assert str(2 * f2 - KRingElement.basis(NT, NT.atiyah(4))) == "2 F_2 - F_4"
+    assert str(2 * f2 - one) == "-O + 2 F_2"
+    assert str(-3 * KRingElement.basis(NT, NT.bundle(-1, 2)) - f2) == "-3 L^-1*F_2 - F_2"
+    assert str(f2 - f2) == "0"
+    # Non-negative elements print like the bundle sums they are.
+    assert str(2 * f2 + KRingElement.basis(NT, NT.atiyah(4))) == "2 F_2 + F_4"
+    assert str(sum_of(NT, (2, 0, 2), (1, 0, 4))) == "2 F_2 + F_4"

@@ -11,7 +11,6 @@ from atiyah import (
     BundleSum,
     NotACharacterError,
     TorsionContext,
-    bracket,
     character,
     decompose_character,
     oracle_check,
@@ -36,29 +35,34 @@ def bundle_sums(ctx, min_terms=0):
 
 # -- brackets -----------------------------------------------------------------
 
+def bracket(r):
+    """[r]_q, the character of F_r."""
+    return character(BundleSum.single(NT, NT.atiyah(r)))
+
+
 def test_bracket_one():
-    assert bracket(NT, 1) == BivariateCharacter.of(NT, {(0, 0): 1})
+    assert bracket(1) == BivariateCharacter.of(NT, {(0, 0): 1})
 
 
 def test_bracket_two():
-    assert bracket(NT, 2) == BivariateCharacter.of(NT, {(0, 1): 1, (0, -1): 1})
+    assert bracket(2) == BivariateCharacter.of(NT, {(0, 1): 1, (0, -1): 1})
 
 
 def test_bracket_four():
     expected = BivariateCharacter.of(NT, {(0, 3): 1, (0, 1): 1, (0, -1): 1, (0, -3): 1})
-    assert bracket(NT, 4) == expected
+    assert bracket(4) == expected
 
 
 def test_bracket_rejects_nonpositive():
     with pytest.raises(ValueError):
-        bracket(NT, 0)
+        NT.atiyah(0)
 
 
 def test_complete_homogeneous_weights_match_bracket():
     # h_k evaluated at (q, q^-1) has weights k, k-2, ..., -k: the bracket of k+1.
     k = 4
     h = BivariateCharacter.of(NT, {(0, k - 2 * j): 1 for j in range(k + 1)})
-    assert h == bracket(NT, k + 1)
+    assert h == bracket(k + 1)
 
 
 # -- characters ----------------------------------------------------------------

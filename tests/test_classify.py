@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atiyah import (
+    BundleSum,
     IntegerPolynomial,
     KRingElement,
     PresentationKind,
@@ -238,7 +239,10 @@ def test_odd_chain_reproduces_basis_classes(index):
 
 def test_grid_small():
     cells = correspondence_grid(1, 1)
-    assert [(c.rank, c.torsion, c.krull_dim, c.group_dim, c.holds) for c in cells] == [
+    assert [
+        (c.rank, c.torsion, c.krull_dim, c.group.dimension, c.correspondence_holds)
+        for c in cells
+    ] == [
         (1, 0, 1, 1, True),
         (1, 1, 0, 0, True),
     ]
@@ -246,9 +250,40 @@ def test_grid_small():
 
 def test_grid_known_rows():
     cells = {(c.rank, c.torsion): c for c in correspondence_grid(2, 2)}
-    assert (cells[(2, 0)].krull_dim, cells[(2, 0)].group_dim) == (2, 2)
-    assert (cells[(2, 2)].krull_dim, cells[(2, 2)].group_dim) == (1, 1)
-    assert all(c.holds for c in cells.values())
+    assert (cells[(2, 0)].krull_dim, cells[(2, 0)].group.dimension) == (2, 2)
+    assert (cells[(2, 2)].krull_dim, cells[(2, 2)].group.dimension) == (1, 1)
+    assert all(c.correspondence_holds for c in cells.values())
+
+
+def _order(ctx, exponent):
+    """Multiplicative order of L^exponent, by stepping through its powers."""
+    k = 1
+    while ctx.reduce_exponent(k * exponent) != 0:
+        k += 1
+    return k
+
+
+def test_minimality_notes_cite_computed_quantities():
+    both_even = [
+        c for c in correspondence_grid(10, 12)
+        if c.rank % 2 == 0 and c.torsion >= 2 and c.torsion % 2 == 0
+    ]
+    assert len(both_even) == 30
+    for report in both_even:
+        r, n = report.rank, report.torsion
+        ctx = TorsionContext(n)
+        note = report.minimality_note
+        m = report.presentation.modulus
+        det = BundleSum.single(ctx, ctx.bundle(1, r)).det_exponent()
+        det_order = _order(ctx, det)
+        assert "det E = L " not in note
+        assert m == n // 2 and report.group.factors == (f"mu_{n}", "Ga")
+        assert note.startswith(f"mu_{m} x Ga does not suffice")
+        assert f"det E = {ctx.line(det)} has order {det_order}, which divides {m}" in note
+        assert m % det_order == 0
+        assert f"L*F_{r} determines L" in note
+        assert f"L has exact order {_order(ctx, 1)};" in note and _order(ctx, 1) == n
+        assert note.endswith(f"minimal group is mu_{n} x Ga even though the ring modulus is {m}")
 
 
 # -- the projective line ------------------------------------------------------------------

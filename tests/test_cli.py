@@ -175,3 +175,20 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
     status, out, _ = run(capsys, "verify", "--rmax", "2")
     assert status == 2
     assert "oracle agreement 0/3 pairs" in out
+
+
+def test_out_to_unwritable_path_is_a_computation_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    status, out, err = run(capsys, "tensor", "F_2 * F_3", "--out", str(target))
+    assert status == 2
+    assert out.strip() == "F_2 + F_4"
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    status, out, err = run(capsys, "tensor", "(" * 3000 + "F_2" + ")" * 3000)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: parentheses nested more than")

@@ -9,9 +9,9 @@ from atiyah import (
     ExpressionError,
     TorsionContext,
     evaluate_expression,
-    format_bundle_sum,
     parse_expression,
 )
+from atiyah.expressions import MAX_NESTING
 
 NT = TorsionContext(0)
 
@@ -111,6 +111,23 @@ def test_missing_f_index():
         parse_expression("F + O")
 
 
+def test_deep_nesting_rejected():
+    with pytest.raises(ExpressionError, match="nested more than"):
+        parse_expression("(" * 3000 + "F_2" + ")" * 3000)
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("(" * (MAX_NESTING + 1) + "O" + ")" * (MAX_NESTING + 1))
+    assert err.value.position == MAX_NESTING
+
+
+def test_nesting_at_the_limit_evaluates():
+    src = "(F_2 + " * MAX_NESTING + "O" + ")^1" * MAX_NESTING
+    assert evaluate_expression(src, NT).rank() == 2 * MAX_NESTING + 1
+
+
+def test_long_power_chain_evaluates():
+    assert evaluate_expression("F_2" + "^1" * 3000, NT) == sum_of(NT, (1, 0, 2))
+
+
 # -- round trip --------------------------------------------------------------------
 
 contexts = st.sampled_from([TorsionContext(n) for n in (0, 1, 2, 3, 4, 5, 6)])
@@ -129,7 +146,7 @@ def bundle_sums(ctx):
 @settings(max_examples=100, deadline=None)
 def test_parse_of_format_is_identity(ctx, data):
     x = data.draw(bundle_sums(ctx))
-    assert evaluate_expression(format_bundle_sum(x), ctx) == x
+    assert evaluate_expression(str(x), ctx) == x
 
 
 def test_output_terms_sorted_by_index_then_exponent():
@@ -137,4 +154,4 @@ def test_output_terms_sorted_by_index_then_exponent():
         NT,
         [(NT.bundle(2, 3), 1), (NT.bundle(-1, 3), 1), (NT.bundle(0, 1), 1), (NT.bundle(1, 2), 4)],
     )
-    assert format_bundle_sum(x) == "O + 4 L*F_2 + L^-1*F_3 + L^2*F_3"
+    assert str(x) == "O + 4 L*F_2 + L^-1*F_3 + L^2*F_3"
