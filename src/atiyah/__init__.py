@@ -20,6 +20,7 @@ from .characters import (
     BivariateCharacter,
     NotACharacterError,
     OracleCheck,
+    PowerTooLargeError,
     character,
     decompose_character,
     oracle_check,
@@ -64,6 +65,7 @@ __all__ = [
     "KRingElement",
     "NotACharacterError",
     "OracleCheck",
+    "PowerTooLargeError",
     "P1SSet",
     "PresentationKind",
     "RingPresentation",

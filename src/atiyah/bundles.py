@@ -17,10 +17,14 @@ computation; exponents are canonicalized at construction so that equality of
 sums is plain structural equality.  :class:`KRingElement` holds signed
 Z-linear combinations of classes; :class:`BundleSum` is its non-negative view,
 the actual direct sums.  Both multiply through one kernel, :func:`_cg_product`.
+Tensor powers of bundle sums mostly take another route, through packed
+characters (:meth:`BundleSum.tensor_power`), while ``KRingElement ** m`` stays
+repeated Clebsch-Gordan products, so the two can be compared.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -322,6 +326,49 @@ class KRingElement:
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+# Most multiplicity words (64 bits) that the repeated products of
+# BundleSum.tensor_power may write, by the estimate of :func:`_loop_words`.
+# F_1000000^2 writes 10^6 terms of one word each in about 3 s on one core of
+# a shared 2-vCPU Xeon.
+MAX_LOOP_WORDS = 1 << 20
+
+
+def _loop_words(base: BundleSum, power: int, cap: int) -> int:
+    """Upper estimate of the multiplicity words that power - 1 products by
+    ``base`` write, cut short once it passes ``cap``.
+
+    A pair of terms F_r, F_s writes min(r, s) <= s terms, so the product of
+    the j-th power by ``base`` writes at most N_j · I terms, where I is the
+    sum of the indices of ``base``.  N_1 is its number of terms; for j >= 2
+    the line exponents of the j-th power are sums of j exponents of ``base``
+    (at most comb(d + j - 1, j) for d distinct ones, within a range of
+    j·span + 1, or n residues over L of order n) and its indices are at most
+    j·(top - 1) + 1, all of one parity when those of ``base`` are.  The
+    multiplicities of the (j+1)-th power are at most rank^(j+1).
+    """
+    if power - 1 > cap:
+        return power - 1  # every product writes at least one word
+    n = base.context.order
+    exponents = {b.exponent for b in base.terms}
+    indices = {b.index for b in base.terms}
+    d = len(exponents)
+    span = max(exponents) - min(exponents)
+    top = max(indices) - 1
+    step = 2 if len({i % 2 for i in indices}) == 1 else 1
+    index_sum = sum(b.index for b in base.terms)
+    bits = math.log2(base.rank())
+    words = len(base.terms) * index_sum * (int(2 * bits) // 64 + 1)
+    sums = d  # comb(d + j - 1, j), capped once it passes cap
+    for j in range(2, power):
+        if words > cap:
+            break
+        sums = min(sums * (d + j - 1) // j, cap + 1)
+        lines = min(sums, j * span + 1, n or sums)
+        terms = lines * (j * top // step + 1)
+        words += terms * index_sum * (int((j + 1) * bits) // 64 + 1)
+    return words
+
+
 class BundleSum(KRingElement):
     """The non-negative view of :class:`KRingElement`: a finite direct sum of
     indecomposables with positive multiplicities.
@@ -355,15 +402,41 @@ class BundleSum(KRingElement):
     def tensor_power(self, power: int) -> BundleSum:
         """|power|-fold tensor power, dualizing first for negative powers.
 
-        The zeroth power is O by the empty-product convention.
+        The zeroth power is O by the empty-product convention, and the first
+        is the sum itself.  Other powers take one of two routes, chosen from
+        the terms alone: repeated products when they write no more words than
+        the packed integer has slots (:func:`_loop_words`; a word and a slot
+        each cost about a microsecond of interpreter work), else a character
+        power packed into one integer
+        (:func:`atiyah.characters.character_power`).  A high index or line
+        exponents far apart make many slots, so single products and sparse
+        sums take the first route.  A power too large to pack falls back to
+        repeated products up to :data:`MAX_LOOP_WORDS`; beyond that
+        :class:`atiyah.characters.PowerTooLargeError` is raised before any
+        arithmetic.
         """
         if not self.terms:
             raise ValueError("cannot take tensor powers of the zero sum")
         if power == 0:
             return BundleSum.unit(self.context)
         base = self.dual() if power < 0 else self
+        power = abs(power)
+        if power == 1:
+            return base
+        from .characters import PowerTooLargeError, character_power, packed_slots
+
+        cap = min(packed_slots(base, power), MAX_LOOP_WORDS)
+        if _loop_words(base, power, cap) > cap:
+            try:
+                return BundleSum(self.context, character_power(base, power))
+            except PowerTooLargeError as err:
+                if _loop_words(base, power, MAX_LOOP_WORDS) > MAX_LOOP_WORDS:
+                    raise PowerTooLargeError(
+                        f"{err}, and repeated products would write more than "
+                        f"{MAX_LOOP_WORDS} words"
+                    ) from None
         result = base
-        for _ in range(abs(power) - 1):
+        for _ in range(power - 1):
             result = result.tensor(base)
         return result
 

@@ -3,9 +3,9 @@
 For each pair (rank r, torsion order n of L) this module produces:
 
 * a closed-form description of S(E), the set of indecomposable components of
-  all integer tensor powers of E, together with a bound-limited brute-force
-  enumeration and an independent structure-law prediction of what each power
-  contributes;
+  all integer tensor powers of E, together with a bound-limited enumeration
+  (the tensor rule applied to supports) and an independent structure-law
+  prediction of what each power contributes;
 * the presentation of R(E), the Q-subalgebra of K(X) ⊗ Q generated by S(E),
   as one of a fixed family of polynomial / Laurent / cyclotomic-quotient
   tensor factors, with its Krull dimension;
@@ -22,7 +22,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .bundles import BundleSum, IndecomposableBundle, KRingElement, TorsionContext
+from .bundles import (
+    IndecomposableBundle,
+    KRingElement,
+    TorsionContext,
+    component_indices,
+)
 
 
 class PresentationKind(str, Enum):
@@ -244,22 +249,24 @@ def s_set_enumerate(
 ) -> set[IndecomposableBundle]:
     """Union of the supports of (L ⊗ F_rank)^{⊗m} over 0 < |m| <= power_bound.
 
-    Computed with the actual tensor arithmetic; the negative powers are the
-    duals of the positive ones.
+    Computed with the Clebsch-Gordan rule on supports alone: every component
+    of the m-th power sits at line exponent m, and its indices are those of
+    the (m-1)-th power each multiplied by F_rank.  Multiplicities are
+    positive and never cancel, so the support is exact.  The negative powers
+    are the duals of the positive ones.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if power_bound < 1:
         raise ValueError("power bound must be >= 1")
     ctx = TorsionContext(torsion)
-    base = BundleSum.single(ctx, ctx.bundle(1, rank))
     out: set[IndecomposableBundle] = set()
-    power = base
+    indices = {rank}
     for m in range(1, power_bound + 1):
         if m > 1:
-            power = power.tensor(base)
-        out.update(power.terms)
-        out.update(power.dual().terms)
+            indices = {j for i in indices for j in component_indices(i, rank)}
+        for e in {ctx.reduce_exponent(m), ctx.reduce_exponent(-m)}:
+            out.update(IndecomposableBundle(e, j) for j in indices)
     return out
 
 

@@ -1,5 +1,7 @@
 """Core tensor arithmetic: frozen examples plus algebraic-law property tests."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +11,13 @@ from atiyah import (
     ContextMismatchError,
     IndecomposableBundle,
     KRingElement,
+    PowerTooLargeError,
     TorsionContext,
     dual,
     sym_power_f2,
     tensor_indec,
 )
+from atiyah.characters import character_power
 
 NT = TorsionContext(0)
 
@@ -233,6 +237,97 @@ def test_power_parity_and_top_component(r, m):
     assert all(b.index % 2 == top % 2 for b in power.terms)
     assert power.multiplicity(NT.atiyah(top)) == 1
     assert all(b.index <= top for b in power.terms)
+
+
+# Tensor powers go through packed characters or repeated products, ring
+# powers always through repeated Clebsch-Gordan products: the routes must agree.
+
+def ring_power(x, m):
+    return KRingElement.from_sum(x.dual() if m < 0 else x) ** abs(m)
+
+
+def packed_power(x, m):
+    base = x.dual() if m < 0 else x
+    return BundleSum(x.context, character_power(base, abs(m)))
+
+
+@given(
+    st.sampled_from([TorsionContext(n) for n in (0, 1, 2, 3, 4, 6)]),
+    st.data(),
+    st.integers(min_value=-8, max_value=8).filter(bool),
+)
+@settings(max_examples=150, deadline=None)
+def test_tensor_power_matches_ring_power(ctx, data, m):
+    x = data.draw(bundle_sums(ctx, min_terms=1))
+    expected = ring_power(x, m)
+    assert x.tensor_power(m) == expected
+    if abs(m) >= 2:
+        assert packed_power(x, m) == expected
+
+
+def test_mixed_parity_power_matches_ring_power():
+    for n in (0, 1, 2, 3, 4, 6):
+        ctx = TorsionContext(n)
+        x = sum_of(ctx, (1, 0, 2), (1, 1, 3))  # F_2 + L*F_3
+        for m in (-5, 2, 7):
+            assert x.tensor_power(m) == ring_power(x, m)
+            assert packed_power(x, m) == ring_power(x, m)
+
+
+def test_f2_power_multiplicities_are_ballot_numbers():
+    m = 300
+    power = BundleSum.single(NT, NT.atiyah(2)).tensor_power(m)
+    expected = {
+        NT.atiyah(m - 2 * k + 1): math.comb(m, k) - (math.comb(m, k - 1) if k else 0)
+        for k in range(m // 2 + 1)
+    }
+    assert power.terms == expected
+
+
+def test_first_power_of_high_index_is_immediate():
+    f = BundleSum.single(NT, NT.atiyah(10**6))
+    assert f.tensor_power(1) == f
+    assert f.tensor_power(-1) == f
+    g = BundleSum.single(NT, NT.bundle(3, 10**8))
+    assert g.tensor_power(-1) == BundleSum.single(NT, NT.bundle(-3, 10**8))
+
+
+def test_sparse_powers_too_wide_to_pack():
+    # 10^8 apart: the packed integer would have 2·10^8 rows.
+    x = sum_of(NT, (1, 0, 1), (1, 10**8, 1))  # O + L^100000000
+    assert x.tensor_power(2) == sum_of(NT, (1, 0, 1), (2, 10**8, 1), (1, 2 * 10**8, 1))
+    y = sum_of(NT, (1, 0, 2), (1, 10**8, 3))  # F_2 + L^100000000*F_3
+    for m in (3, -4):
+        assert y.tensor_power(m) == ring_power(y, m)
+
+
+def test_high_index_square_too_large_to_pack():
+    f = BundleSum.single(NT, NT.atiyah(250000))
+    with pytest.raises(PowerTooLargeError):
+        character_power(f, 2)
+    square = f.tensor_power(2)
+    assert square.terms == {NT.atiyah(j): 1 for j in range(1, 500000, 2)}
+
+
+def test_powers_of_a_line_bundle_never_overflow():
+    huge = 10**400
+    line = BundleSum.single(NT, NT.line(2))
+    assert line.tensor_power(huge) == BundleSum.single(NT, NT.line(2 * huge))
+    ctx = TorsionContext(3)
+    assert BundleSum.single(ctx, ctx.line(1)).tensor_power(-huge).terms == {
+        ctx.line(-huge): 1
+    }
+
+
+def test_oversized_power_rejected_up_front():
+    f2 = BundleSum.single(NT, NT.atiyah(2))
+    for m in (10**8, -(10**8), 10**400):
+        with pytest.raises(PowerTooLargeError):
+            f2.tensor_power(m)
+    with pytest.raises(PowerTooLargeError):
+        f2.tensor_power(1000).tensor_power(1000)
+    with pytest.raises(PowerTooLargeError):
+        BundleSum.single(NT, NT.atiyah(10**8)).tensor_power(2)
 
 
 # -- rank / det examples ----------------------------------------------------------

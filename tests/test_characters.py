@@ -129,6 +129,21 @@ def test_decompose_rejects_missing_interior_weight():
         decompose_character(BivariateCharacter.of(NT, {(0, 2): 1, (0, -2): 1}))
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {(1, 3): 1, (1, 1): 1, (1, -1): 1},               # asymmetric, twisted
+        {(0, 2): 2, (0, 0): 1, (0, -2): 2},               # c(0) < c(2)
+        {(0, 4): 1, (0, 2): 1, (0, -2): 1, (0, -4): 1},   # gap at q^0
+        {(2, 3): 1, (2, -3): 1},                          # gap at q^1 and q^-1
+        {(0, 1): 1, (0, 0): -1, (0, -1): 1},              # negative coefficient
+    ],
+)
+def test_decompose_rejects_non_characters(coeffs):
+    with pytest.raises(NotACharacterError):
+        decompose_character(BivariateCharacter.of(NT, coeffs))
+
+
 @given(contexts, st.data())
 @settings(max_examples=80, deadline=None)
 def test_round_trip(ctx, data):

@@ -196,6 +196,30 @@ def test_enumeration_matches_structure_law(rank, torsion):
         assert all(symbolic.contains(b) for b in enumerated)
 
 
+def brute_force_s_set(rank, torsion, bound):
+    """Supports of the powers of L*F_rank, from the full tensor products."""
+    ctx = TorsionContext(torsion)
+    base = BundleSum.single(ctx, ctx.bundle(1, rank))
+    out = set()
+    power = base
+    for m in range(1, bound + 1):
+        if m > 1:
+            power = power.tensor(base)
+        out.update(power.terms)
+        out.update(power.dual().terms)
+    return out
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=10),
+)
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_brute_force(rank, torsion, bound):
+    assert s_set_enumerate(rank, torsion, bound) == brute_force_s_set(rank, torsion, bound)
+
+
 # -- generator polynomials ----------------------------------------------------------
 
 def test_even_chain_values():

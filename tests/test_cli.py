@@ -1,8 +1,13 @@
 """CLI contract: subcommands, exit codes, formats, and the JSON schema."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
+import pytest
 
 from atiyah import TorsionContext, evaluate_expression
 from atiyah.cli import main
@@ -139,6 +144,30 @@ def test_computation_error_exit_code(capsys):
     status, _, err = run(capsys, "power", "0", "2")
     assert status == 2
     assert "zero" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tensor", "F_2^100000000"),
+        ("power", "F_2", "100000000"),
+        ("tensor", "F_2^1000^1000"),
+        ("power", "F_2", "1" + "0" * 400),
+        ("tensor", "F_100000000^2"),
+    ],
+)
+def test_oversized_power_exits_two_promptly(argv):
+    # A fresh process, so that an unbounded computation is cut by the timeout.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "atiyah.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=2,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_express_chain_mismatch_is_usage_error(capsys):
