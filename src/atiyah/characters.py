@@ -1,4 +1,5 @@
-"""Laurent-character oracle for bundle arithmetic, and packed character powers.
+"""Laurent-character oracle for bundle arithmetic, multiplied by Kronecker
+substitution.
 
 A second, independent route to tensor decompositions: send L^e ⊗ F_r to the
 bivariate Laurent monomial-times-bracket
@@ -13,18 +14,31 @@ product follows the Clebsch-Gordan rule, this reproduces the bundle tensor
 product without ever invoking it, so agreement between the two routes is a
 genuine cross-check.
 
-:func:`character_power` takes tensor powers this way by Kronecker
-substitution: the character is packed into one integer, raised to the power
-by big-integer arithmetic and unpacked.  ``BundleSum.tensor_power`` uses it
-unless repeated products are cheaper (:func:`packed_slots` sizes the packing
-for that choice); ``KRingElement.__pow__`` keeps the Clebsch-Gordan route.
+Both the product and the powers multiply Laurent polynomials by Kronecker
+substitution (Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symbolic Comput. 2009): coefficients go into
+fixed-width slots of one Python integer (:func:`_pack`), big-integer
+arithmetic does the convolution, and :func:`_unpack` reads the slots back.
+``BivariateCharacter.__mul__`` packs each run of nearby q-exponents of a
+t-row separately, so it costs one integer product per pair of runs and never
+allocates slots for the gaps between them.  It packs coefficients, not
+brackets, and knows nothing of the Clebsch-Gordan rule, which keeps the
+oracle independent of the formula it checks.
+
+:func:`character_power` takes tensor powers this way: the character is
+packed into one integer, raised to the power and unpacked.
+``BundleSum.tensor_power`` uses it unless repeated products are cheaper
+(:func:`packed_slots` sizes the packing for that choice);
+``KRingElement.__pow__`` keeps the Clebsch-Gordan route.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .bundles import BundleSum, ContextMismatchError, IndecomposableBundle, TorsionContext
 
@@ -33,6 +47,100 @@ from .bundles import BundleSum, ContextMismatchError, IndecomposableBundle, Tors
 # F_2^1000 packs to about 1 Mbit and takes well under 0.1 s; F_2^4000, just
 # below the limit, takes about 4.5 s on one core of a shared 2-vCPU Xeon.
 MAX_PACKED_BITS = 1 << 24
+
+
+# struct/memoryview format of each slot width that one C call packs or reads
+# as a whole (upper case unsigned, lower case signed).  Both use native sizes
+# and byte order, so a big-endian machine packs and reads every width slot by
+# slot.
+_FORMATS = {struct.calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _slot_width(bits: int) -> int:
+    """Bytes per slot for values of ``bits`` bits: the smallest width in
+    :data:`_FORMATS` that holds them, else the fewest whole bytes."""
+    for width in (1, 2, 4, 8):
+        if 8 * width >= bits and width in _FORMATS:
+            return width
+    return max(1, -(-bits // 8))
+
+
+def _bias(count: int, width: int) -> int:
+    """2^(8·width−1) in each of ``count`` slots: the top bit of every slot."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(values: list[int], width: int, signed: bool = False) -> int:
+    """Sum of values[i]·2^(8·width·i): the values in slots of ``width`` bytes.
+
+    Each value must fit its slot (two's complement if ``signed``).  Flipping
+    the top bit of every signed slot turns its bytes into value +
+    2^(8·width−1), which is non-negative, and the bias is then subtracted.
+    """
+    fmt = _FORMATS.get(width)
+    if width == 1 and not signed:
+        data = bytes(values)
+    elif fmt:
+        data = struct.pack(f"{len(values)}{fmt.lower() if signed else fmt}", *values)
+    else:
+        data = b"".join(c.to_bytes(width, "little", signed=signed) for c in values)
+    v = int.from_bytes(data, "little")
+    if signed:
+        bias = _bias(len(values), width)
+        v = (v ^ bias) - bias
+    return v
+
+
+def _unpack(v: int, count: int, width: int, signed: bool = False) -> Sequence[int]:
+    """The ``count`` slot values of a packed integer, lowest slot first.
+
+    Every slot value must fit ``width`` bytes (signed: below 2^(8·width−1) in
+    absolute value).  Signed values are biased by 2^(8·width−1) first, which
+    makes every slot non-negative, so no slot borrows from the next; flipping
+    the top bit of each slot then leaves two's complement bytes.  Widths that
+    one cast reads come back as a view of the bytes, which makes each value
+    only when it is read.
+    """
+    if signed:
+        bias = _bias(count, width)
+        v = (v + bias) ^ bias
+    data = v.to_bytes(count * width, "little")
+    if width == 1 and not signed:
+        return data  # a bytes object is a sequence of one-byte slot values
+    fmt = _FORMATS.get(width)
+    if fmt:
+        return memoryview(data).cast(fmt.lower() if signed else fmt)
+    return [
+        int.from_bytes(data[at:at + width], "little", signed=signed)
+        for at in range(0, count * width, width)
+    ]
+
+
+def _blocks(
+    coeffs: Mapping[tuple[int, int], int], step: int, width: int, signed: bool
+) -> list[tuple[int, int, int, int]]:
+    """A character's monomials as packed blocks (t, lowest q, slots, integer).
+
+    A block is a run of one t-row whose consecutive q-exponents are at most 2
+    apart, so it has at most twice as many slots as monomials; q advances by
+    ``step`` from slot to slot.
+    """
+    blocks = []
+    items = iter(sorted(coeffs.items()))
+    (t_run, lo), c = next(items)
+    values = [c]
+    prev = lo
+    for (t, q), c in items:
+        if t == t_run and q - prev <= 2:
+            if q - prev > step:
+                values.append(0)
+            values.append(c)
+        else:
+            blocks.append((t_run, lo, len(values), _pack(values, width, signed)))
+            t_run, lo, values = t, q, [c]
+        prev = q
+    blocks.append((t_run, lo, len(values), _pack(values, width, signed)))
+    return blocks
 
 
 class NotACharacterError(ValueError):
@@ -98,6 +206,25 @@ class BivariateCharacter:
         return BivariateCharacter(self.context, acc)
 
     def __mul__(self, other):
+        """Scalar multiple, or Laurent product with t-exponents reduced.
+
+        The product is computed by Kronecker substitution.  Each operand is
+        cut into blocks (:func:`_blocks`): runs of one t-row whose
+        q-exponents lie at most 2 apart, with q halved when every q-exponent
+        of each operand has one parity.  Each block becomes one integer with
+        a slot per q-exponent, and each pair of blocks costs one integer
+        product, whose slots are the coefficients of that t-row of the
+        product.  No product coefficient exceeds min(‖a‖₁·‖b‖∞, ‖a‖∞·‖b‖₁)
+        in absolute value, so slots of that many bits, plus a sign bit when a
+        coefficient is negative, never carry.  The cost is one big-integer
+        product per block pair plus work linear in the monomials, so a
+        bracket product [r]·[s] costs O(r + s) interpreter steps, not r·s,
+        and gaps between far-apart exponents cost nothing.
+
+        The product treats its operands as arbitrary Laurent polynomials: it
+        never looks for brackets and never applies the Clebsch-Gordan rule,
+        so :func:`oracle_check` compares two independent computations.
+        """
         if isinstance(other, int):
             if other == 0:
                 return BivariateCharacter.zero(self.context)
@@ -107,16 +234,33 @@ class BivariateCharacter:
         if not isinstance(other, BivariateCharacter):
             return NotImplemented
         self._check_context(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return BivariateCharacter.zero(self.context)
+        va, vb = a.values(), b.values()
+        signed = min(va) < 0 or min(vb) < 0
+        if signed:
+            va, vb = list(map(abs, va)), list(map(abs, vb))
+        bound = min(sum(va) * max(vb), max(va) * sum(vb))
+        width = _slot_width(bound.bit_length() + signed)
+        same_parity = len({q & 1 for _, q in a}) == 1 and len({q & 1 for _, q in b}) == 1
+        step = 2 if same_parity else 1
         reduce = self.context.reduce_exponent
         acc: dict[tuple[int, int], int] = {}
-        for (t1, q1), c1 in self.coeffs.items():
-            for (t2, q2), c2 in other.coeffs.items():
-                key = (reduce(t1 + t2), q1 + q2)
-                v = acc.get(key, 0) + c1 * c2
-                if v:
-                    acc[key] = v
-                else:
-                    del acc[key]
+        blocks_b = _blocks(b, step, width, signed)
+        for ta, qa, na, pa in _blocks(a, step, width, signed):
+            for tb, qb, nb, pb in blocks_b:
+                t = reduce(ta + tb)
+                q = qa + qb
+                for c in _unpack(pa * pb, na + nb - 1, width, signed):
+                    if c:
+                        key = (t, q)
+                        v = acc.get(key, 0) + c
+                        if v:
+                            acc[key] = v
+                        else:
+                            del acc[key]
+                    q += step
         return BivariateCharacter(self.context, acc)
 
     __rmul__ = __mul__
@@ -266,11 +410,10 @@ def character_power(x: BundleSum, power: int) -> dict[IndecomposableBundle, int]
         )
 
     c = character(x)
-    buf = bytearray(t_span * stride + (2 * top // step + 1) * width)
+    values = [0] * (t_span * q_slots + 2 * top // step + 1)
     for (t, q), k in c.coeffs.items():
-        at = (t - t_lo) * stride + (q + top) // step * width
-        buf[at:at + width] = k.to_bytes(width, "little")
-    base = int.from_bytes(buf, "little")
+        values[(t - t_lo) * q_slots + (q + top) // step] = k
+    base = _pack(values, width)
 
     if wrap:
         shift = wrap * stride * 8
@@ -291,9 +434,8 @@ def character_power(x: BundleSum, power: int) -> dict[IndecomposableBundle, int]
     half: dict[tuple[int, int], int] = {}
     for j in range(t_slots):
         e = c.context.reduce_exponent(power * t_lo + j)
-        for i in range(first, q_slots):
-            at = j * stride + i * width
-            k = int.from_bytes(data[at:at + width], "little")
+        row = int.from_bytes(data[j * stride + first * width:(j + 1) * stride], "little")
+        for i, k in enumerate(_unpack(row, q_slots - first, width), first):
             if k:
                 half[(e, i * step - q_shift)] = k
     return _read_off(half)

@@ -244,6 +244,34 @@ def s_set_symbolic(rank: int, torsion: int) -> SSetDescription:
     return SSetDescription(ctx, (), fams)
 
 
+# Most steps that :func:`s_set_enumerate` may take, by the estimate of
+# :func:`_enumeration_steps`.  ``sset --rank 2 --bound 1000``, about 33M
+# steps, takes about 4 s (half of it sorting and printing the 500k classes)
+# and 130 MB on one core of a shared 2-vCPU Xeon.
+MAX_ENUMERATION_STEPS = 1 << 25
+
+# Most cells that :func:`correspondence_grid` classifies; ``grid --rmax 256
+# --nmax 255``, at the limit, takes about 3.4 s on one core of a shared 2-vCPU
+# Xeon.
+MAX_GRID_CELLS = 1 << 16
+
+
+def _enumeration_steps(rank: int, power_bound: int) -> int:
+    """Upper estimate of the work of :func:`s_set_enumerate`, in steps of its
+    index loop.
+
+    The m-th power has one index for m = 1 and at most m(rank - 1)/2 + 1
+    after, so T(N) = 1 + Σ_{m=2..N} (m(rank-1)/2 + 1) bounds the indices of
+    the first N powers.  Each index of a power expands into at most rank
+    indices of the next, and becomes a class at up to two line exponents; a
+    class costs about as much as 64 steps.
+    """
+    def indices(n: int) -> int:
+        return (rank - 1) * (n * (n + 1) // 2 - 1) // 2 + n if n else 0
+
+    return rank * indices(power_bound - 1) + 128 * indices(power_bound)
+
+
 def s_set_enumerate(
     rank: int, torsion: int, power_bound: int
 ) -> set[IndecomposableBundle]:
@@ -254,11 +282,20 @@ def s_set_enumerate(
     the (m-1)-th power each multiplied by F_rank.  Multiplicities are
     positive and never cancel, so the support is exact.  The negative powers
     are the duals of the positive ones.
+
+    Raises ``ValueError``, before any enumeration, when the work would exceed
+    :data:`MAX_ENUMERATION_STEPS`.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if power_bound < 1:
         raise ValueError("power bound must be >= 1")
+    steps = _enumeration_steps(rank, power_bound)
+    if steps > MAX_ENUMERATION_STEPS:
+        raise ValueError(
+            f"enumerating S(E) for rank {rank} up to power bound {power_bound} "
+            f"would take about {steps} steps, above the limit of {MAX_ENUMERATION_STEPS}"
+        )
     ctx = TorsionContext(torsion)
     out: set[IndecomposableBundle] = set()
     indices = {rank}
@@ -488,10 +525,18 @@ def correspondence_grid(r_max: int, n_max: int) -> tuple[ClassificationReport, .
     """Reports for every (rank, torsion) in [1..r_max] x [0..n_max], rank-major.
 
     Each report carries dim R(E) (``krull_dim``), dim G (``group.dimension``)
-    and whether they agree (``correspondence_holds``).
+    and whether they agree (``correspondence_holds``).  Raises
+    ``ValueError``, before classifying any cell, for more than
+    :data:`MAX_GRID_CELLS` cells.
     """
     if r_max < 1 or n_max < 0:
         raise ValueError("grid bounds must cover at least one cell")
+    cells = r_max * (n_max + 1)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"a {r_max} x {n_max + 1} grid has {cells} cells, "
+            f"above the limit of {MAX_GRID_CELLS}"
+        )
     return tuple(
         classify(r, n) for r in range(1, r_max + 1) for n in range(0, n_max + 1)
     )

@@ -205,8 +205,20 @@ def _cmd_express(args) -> tuple[str, int]:
 
 _VERIFY_PROBES = ((0, 0), (1, -1), (2, 1))
 
+# Most character monomials that ``verify`` may multiply: each probe of each
+# pair F_r, F_s (s <= r <= rmax) multiplies r + s of them, so --rmax R costs
+# 3·R(R+1)²/2.  --rmax 88, just below the limit, takes about 4 s on one core
+# of a shared 2-vCPU Xeon.
+MAX_VERIFY_MONOMIALS = 1 << 20
+
 
 def _cmd_verify(args) -> tuple[str, int]:
+    monomials = len(_VERIFY_PROBES) * args.rmax * (args.rmax + 1) ** 2 // 2
+    if monomials > MAX_VERIFY_MONOMIALS:
+        raise ValueError(
+            f"verify --rmax {args.rmax} would multiply {monomials} character "
+            f"monomials, above the limit of {MAX_VERIFY_MONOMIALS}"
+        )
     ctx = TorsionContext(args.torsion)
     total = 0
     agreements = 0

@@ -1,11 +1,13 @@
 """Character oracle: brackets, multiplicativity, peeling, and cross-checks."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atiyah.characters as characters_module
 from atiyah import (
     BivariateCharacter,
     BundleSum,
@@ -16,6 +18,7 @@ from atiyah import (
     oracle_check,
     tensor_indec,
 )
+from atiyah.characters import character_power
 
 NT = TorsionContext(0)
 
@@ -96,6 +99,83 @@ def test_character_rank_and_symmetry(ctx, data):
     c = character(x)
     assert c.total() == x.rank()
     assert c.is_q_symmetric()
+
+
+def naive_product(a, b):
+    """Laurent product by the double loop over monomial pairs."""
+    acc = {}
+    for (t1, q1), c1 in a.coeffs.items():
+        for (t2, q2), c2 in b.coeffs.items():
+            key = (t1 + t2, q1 + q2)
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return BivariateCharacter.of(a.context, acc)
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**64, max_value=2**66),
+)
+
+
+@st.composite
+def laurent_polynomials(draw, ctx):
+    """Signed Laurent polynomials with t-spans below and above the torsion
+    order, one q-parity or both, and runs of q-exponents with gaps."""
+    t_top = draw(st.sampled_from((0, 1, 2, 6)))
+    q_top = draw(st.sampled_from((0, 3, 12, 40)))
+    parity = draw(st.sampled_from((None, 0, 1)))
+    monomial = st.tuples(
+        st.integers(min_value=-t_top, max_value=t_top),
+        st.integers(min_value=-q_top, max_value=q_top),
+    )
+    coeffs = draw(st.dictionaries(monomial, coefficients, max_size=12))
+    if parity is not None:
+        coeffs = {(t, 2 * q + parity): c for (t, q), c in coeffs.items()}
+    return BivariateCharacter.of(ctx, coeffs)
+
+
+@given(st.sampled_from([TorsionContext(n) for n in (0, 1, 2, 3, 5)]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_packed_product_matches_double_loop(ctx, data):
+    a = data.draw(laurent_polynomials(ctx))
+    b = data.draw(laurent_polynomials(ctx))
+    product = a * b
+    assert product == naive_product(a, b)
+    assert 0 not in product.coeffs.values()
+    assert a * BivariateCharacter.zero(ctx) == BivariateCharacter.zero(ctx)
+
+
+def test_slot_by_slot_packing_matches_double_loop(monkeypatch):
+    # With no one-call formats (as on a big-endian machine) every slot width
+    # is packed and read slot by slot.
+    monkeypatch.setattr(characters_module, "_FORMATS", {})
+    ctx = TorsionContext(3)
+    f = character(BundleSum.of(ctx, [(ctx.bundle(1, 40), 3), (ctx.bundle(2, 7), 1)]))
+    signed = BivariateCharacter.of(ctx, {(0, 0): -(2**20), (1, 3): 5, (2, -1): -7})
+    for a, b in [(f, f), (f, signed), (signed, signed)]:
+        assert a * b == naive_product(a, b)
+    x = BundleSum.of(ctx, [(ctx.bundle(1, 3), 1), (ctx.bundle(0, 2), 2)])
+    assert BundleSum(ctx, character_power(x, 5)) == x.tensor(x).tensor(x).tensor(x).tensor(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        character(BundleSum.of(NT, [(NT.line(0), 1), (NT.line(10**8), 1)])),  # O + L^100000000
+        BivariateCharacter.of(NT, {(0, 0): 1, (0, 10**8): 1}),
+    ],
+)
+def test_sparse_product_allocates_for_monomials_not_gaps(x):
+    tracemalloc.start()
+    try:
+        square = x * x
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert square == naive_product(x, x)
+    assert len(square.coeffs) == 3
+    assert peak < 1 << 20  # a slot per exponent in the gap would take 100 MB
 
 
 def test_torsion_exponents_reduced_in_products():

@@ -24,6 +24,8 @@ from atiyah import (
     s_set_reachable,
     s_set_symbolic,
 )
+from atiyah.bundles import component_indices
+from atiyah.classify import _enumeration_steps
 
 NT = TorsionContext(0)
 
@@ -218,6 +220,29 @@ def brute_force_s_set(rank, torsion, bound):
 @settings(max_examples=60, deadline=None)
 def test_enumeration_matches_brute_force(rank, torsion, bound):
     assert s_set_enumerate(rank, torsion, bound) == brute_force_s_set(rank, torsion, bound)
+
+
+def counted_enumeration_work(rank, torsion, bound):
+    """Index-loop steps plus 64 per class of the enumeration, counted."""
+    ctx = TorsionContext(torsion)
+    steps = classes = 0
+    indices = {rank}
+    for m in range(1, bound + 1):
+        if m > 1:
+            steps += sum(len(component_indices(i, rank)) for i in indices)
+            indices = {j for i in indices for j in component_indices(i, rank)}
+        classes += len(indices) * len({ctx.reduce_exponent(m), ctx.reduce_exponent(-m)})
+    return steps + 64 * classes
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=80, deadline=None)
+def test_enumeration_estimate_bounds_the_work(rank, torsion, bound):
+    assert counted_enumeration_work(rank, torsion, bound) <= _enumeration_steps(rank, bound)
 
 
 # -- generator polynomials ----------------------------------------------------------

@@ -157,6 +157,24 @@ def test_computation_error_exit_code(capsys):
     ],
 )
 def test_oversized_power_exits_two_promptly(argv):
+    assert_exits_two_promptly(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--rmax", "100000"),
+        ("grid", "--rmax", "100000", "--nmax", "100000"),
+        ("sset", "--rank", "2", "--bound", "100000"),
+        ("sset", "--rank", "1000000", "--bound", "2"),
+    ],
+)
+def test_oversized_work_exits_two_promptly(argv):
+    assert "limit" in assert_exits_two_promptly(argv)
+
+
+def assert_exits_two_promptly(argv):
+    """Run the CLI on argv; check it exits 2 with a message; return stderr."""
     # A fresh process, so that an unbounded computation is cut by the timeout.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -168,6 +186,7 @@ def test_oversized_power_exits_two_promptly(argv):
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+    return result.stderr
 
 
 def test_express_chain_mismatch_is_usage_error(capsys):
