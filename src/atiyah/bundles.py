@@ -164,6 +164,31 @@ def dual(context: TorsionContext, a: IndecomposableBundle) -> IndecomposableBund
     return context.bundle(-a.exponent, a.index)
 
 
+# Most multiplicity words (64 bits) that one product, or the repeated products
+# of a tensor power, may write, by :func:`_product_words` or :func:`_loop_words`.
+# F_1000000^2 writes 10^6 terms of one word each in about 3 s on one core of
+# a shared 2-vCPU Xeon.
+MAX_LOOP_WORDS = 1 << 20
+
+
+def _product_words(terms: int, index_sum: int, bits: int) -> int:
+    """Upper estimate of the multiplicity words that one product writes:
+    each of ``terms`` terms of one factor meets terms of the other whose
+    indices sum to ``index_sum``, a pair F_r, F_s writes min(r, s) <= s
+    terms, and multiplicities below 2^(bits + 1) take bits // 64 + 1 words."""
+    return terms * index_sum * (bits // 64 + 1)
+
+
+def _spread(x: KRingElement) -> tuple[int, int, int, int, int]:
+    """(lowest line exponent, their span, number of distinct ones, top index
+    - 1, 2 if every index has one parity else 1) of a nonzero sum."""
+    exponents = {b.exponent for b in x.terms}
+    indices = {b.index for b in x.terms}
+    t_lo = min(exponents)
+    step = 2 if len({i % 2 for i in indices}) == 1 else 1
+    return t_lo, max(exponents) - t_lo, len(exponents), max(indices) - 1, step
+
+
 @dataclass(frozen=True, eq=False)
 class KRingElement:
     """An element of the Grothendieck ring K(X): a Z-linear combination of
@@ -286,9 +311,26 @@ class KRingElement:
         return type(self)(self.context, {b: k * c for b, c in self.terms.items()})
 
     def tensor(self, other: KRingElement) -> KRingElement:
-        """Product by the tensor rule, extended bilinearly."""
+        """Product by the tensor rule, extended bilinearly.
+
+        Raises ``ValueError``, before any arithmetic, when the product would
+        write more than :data:`MAX_LOOP_WORDS` multiplicity words.
+        """
         cls = self._check_context(other)
-        return cls(self.context, _cg_product(self.context, self.terms, other.terms))
+        x, y = self.terms, other.terms
+        # No multiplicity of the product exceeds the product of the sums of
+        # the absolute coefficients.
+        bits = (sum(map(abs, x.values())) * sum(map(abs, y.values()))).bit_length() - 1
+        words = min(
+            _product_words(len(x), sum(b.index for b in y), bits),
+            _product_words(len(y), sum(b.index for b in x), bits),
+        )
+        if words > MAX_LOOP_WORDS:
+            raise ValueError(
+                f"the product would write about {words} multiplicity words, "
+                f"above the limit of {MAX_LOOP_WORDS}"
+            )
+        return cls(self.context, _cg_product(self.context, x, y))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -308,8 +350,8 @@ class KRingElement:
         """Ring power.  The dual is not the ring inverse, so power must be >= 0."""
         if power < 0:
             raise ValueError("ring powers must be >= 0")
-        result = KRingElement.unit(self.context)
-        for _ in range(power):
+        result = self if power else KRingElement.unit(self.context)
+        for _ in range(power - 1):
             result = result * self
         return result
 
@@ -326,46 +368,33 @@ class KRingElement:
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-# Most multiplicity words (64 bits) that the repeated products of
-# BundleSum.tensor_power may write, by the estimate of :func:`_loop_words`.
-# F_1000000^2 writes 10^6 terms of one word each in about 3 s on one core of
-# a shared 2-vCPU Xeon.
-MAX_LOOP_WORDS = 1 << 20
-
-
 def _loop_words(base: BundleSum, power: int, cap: int) -> int:
     """Upper estimate of the multiplicity words that power - 1 products by
     ``base`` write, cut short once it passes ``cap``.
 
-    A pair of terms F_r, F_s writes min(r, s) <= s terms, so the product of
-    the j-th power by ``base`` writes at most N_j · I terms, where I is the
-    sum of the indices of ``base``.  N_1 is its number of terms; for j >= 2
-    the line exponents of the j-th power are sums of j exponents of ``base``
-    (at most comb(d + j - 1, j) for d distinct ones, within a range of
-    j·span + 1, or n residues over L of order n) and its indices are at most
-    j·(top - 1) + 1, all of one parity when those of ``base`` are.  The
-    multiplicities of the (j+1)-th power are at most rank^(j+1).
+    The product of the j-th power by ``base`` writes at most
+    :func:`_product_words` of N_j terms against the index sum of ``base``.
+    N_1 is its number of terms; for j >= 2 the line exponents of the j-th
+    power are sums of j exponents of ``base`` (at most comb(d + j - 1, j) for
+    d distinct ones, within a range of j·span + 1, or n residues over L of
+    order n) and its indices are at most j·(top - 1) + 1, all of one parity
+    when those of ``base`` are.  The multiplicities of the (j+1)-th power are
+    at most rank^(j+1).
     """
     if power - 1 > cap:
         return power - 1  # every product writes at least one word
     n = base.context.order
-    exponents = {b.exponent for b in base.terms}
-    indices = {b.index for b in base.terms}
-    d = len(exponents)
-    span = max(exponents) - min(exponents)
-    top = max(indices) - 1
-    step = 2 if len({i % 2 for i in indices}) == 1 else 1
+    _, span, d, top, step = _spread(base)
     index_sum = sum(b.index for b in base.terms)
     bits = math.log2(base.rank())
-    words = len(base.terms) * index_sum * (int(2 * bits) // 64 + 1)
+    words = _product_words(len(base.terms), index_sum, int(2 * bits))
     sums = d  # comb(d + j - 1, j), capped once it passes cap
     for j in range(2, power):
         if words > cap:
             break
         sums = min(sums * (d + j - 1) // j, cap + 1)
         lines = min(sums, j * span + 1, n or sums)
-        terms = lines * (j * top // step + 1)
-        words += terms * index_sum * (int((j + 1) * bits) // 64 + 1)
+        words += _product_words(lines * (j * top // step + 1), index_sum, int((j + 1) * bits))
     return words
 
 
@@ -403,17 +432,17 @@ class BundleSum(KRingElement):
         """|power|-fold tensor power, dualizing first for negative powers.
 
         The zeroth power is O by the empty-product convention, and the first
-        is the sum itself.  Other powers take one of two routes, chosen from
-        the terms alone: repeated products when they write no more words than
-        the packed integer has slots (:func:`_loop_words`; a word and a slot
-        each cost about a microsecond of interpreter work), else a character
-        power packed into one integer
-        (:func:`atiyah.characters.character_power`).  A high index or line
-        exponents far apart make many slots, so single products and sparse
-        sums take the first route.  A power too large to pack falls back to
-        repeated products up to :data:`MAX_LOOP_WORDS`; beyond that
-        :class:`atiyah.characters.PowerTooLargeError` is raised before any
-        arithmetic.
+        is the sum itself.  Every other power follows one plan, made from the
+        terms alone before any arithmetic.  Repeated products
+        (``KRingElement.__pow__``) are taken when :func:`_loop_words` finds
+        they write at most :data:`MAX_LOOP_WORDS` words and, if
+        :func:`atiyah.characters.packed_layout` gives a packing, no more words
+        than it has slots (a word and a slot each cost about a microsecond of
+        interpreter work); else that packing
+        (:func:`atiyah.characters.character_power`); else
+        :class:`atiyah.characters.PowerTooLargeError`.  A high index or line
+        exponents far apart make many slots, so squares and sparse sums take
+        repeated products.
         """
         if not self.terms:
             raise ValueError("cannot take tensor powers of the zero sum")
@@ -423,22 +452,18 @@ class BundleSum(KRingElement):
         power = abs(power)
         if power == 1:
             return base
-        from .characters import PowerTooLargeError, character_power, packed_slots
+        from . import characters
 
-        cap = min(packed_slots(base, power), MAX_LOOP_WORDS)
-        if _loop_words(base, power, cap) > cap:
-            try:
-                return BundleSum(self.context, character_power(base, power))
-            except PowerTooLargeError as err:
-                if _loop_words(base, power, MAX_LOOP_WORDS) > MAX_LOOP_WORDS:
-                    raise PowerTooLargeError(
-                        f"{err}, and repeated products would write more than "
-                        f"{MAX_LOOP_WORDS} words"
-                    ) from None
-        result = base
-        for _ in range(power - 1):
-            result = result.tensor(base)
-        return result
+        layout = characters.packed_layout(base, power)
+        cap = min(layout.t_slots * layout.q_slots, MAX_LOOP_WORDS) if layout else MAX_LOOP_WORDS
+        if _loop_words(base, power, cap) <= cap:
+            return KRingElement.__pow__(base, power)
+        if layout is None:
+            raise characters.PowerTooLargeError(
+                f"tensor power {power} would pack to more than {characters.MAX_PACKED_BITS} "
+                f"bits, and repeated products would write more than {MAX_LOOP_WORDS} words"
+            )
+        return BundleSum(self.context, characters.character_power(base, power))
 
     __pow__ = tensor_power
 

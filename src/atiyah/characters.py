@@ -26,10 +26,12 @@ brackets, and knows nothing of the Clebsch-Gordan rule, which keeps the
 oracle independent of the formula it checks.
 
 :func:`character_power` takes tensor powers this way: the character is
-packed into one integer, raised to the power and unpacked.
-``BundleSum.tensor_power`` uses it unless repeated products are cheaper
-(:func:`packed_slots` sizes the packing for that choice);
-``KRingElement.__pow__`` keeps the Clebsch-Gordan route.
+packed into one integer, raised to the power and unpacked, in the slot grid
+that :func:`packed_layout` gives, the one place that applies
+:data:`MAX_PACKED_BITS`.  ``BundleSum.tensor_power`` plans each power once
+from that layout and an estimate of the cost of repeated products, and packs
+only when that is the cheaper route; ``KRingElement.__pow__`` keeps the
+Clebsch-Gordan route.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
-from .bundles import BundleSum, ContextMismatchError, IndecomposableBundle, TorsionContext
+from .bundles import BundleSum, ContextMismatchError, IndecomposableBundle, TorsionContext, _spread
 
 
-# Largest packed integer, in bits, that :func:`character_power` builds.
+# Largest packed integer, in bits, that :func:`packed_layout` lays out.
 # F_2^1000 packs to about 1 Mbit and takes well under 0.1 s; F_2^4000, just
 # below the limit, takes about 4.5 s on one core of a shared 2-vCPU Xeon.
 MAX_PACKED_BITS = 1 << 24
@@ -149,8 +151,8 @@ class NotACharacterError(ValueError):
 
 class PowerTooLargeError(ValueError):
     """Raised, before any arithmetic, for a tensor power too large to compute:
-    one that would pack to more than :data:`MAX_PACKED_BITS` bits, and, in
-    ``BundleSum.tensor_power``, also too large for repeated products."""
+    by :func:`character_power` when it has no packed layout, and by
+    ``BundleSum.tensor_power`` when repeated products are too large too."""
 
 
 @dataclass(frozen=True)
@@ -340,8 +342,9 @@ def decompose_character(c: BivariateCharacter) -> BundleSum:
     return BundleSum(c.context, _read_off(c.coeffs))
 
 
-class _Slots(NamedTuple):
-    """Slot grid of a packed power: ``t_slots`` rows of ``q_slots`` slots."""
+class _Layout(NamedTuple):
+    """Slot grid of a packed power: ``t_slots`` rows of ``q_slots`` slots of
+    ``width`` bytes."""
 
     t_lo: int  # lowest line exponent of the base
     t_span: int  # spread of the line exponents of the base
@@ -350,28 +353,27 @@ class _Slots(NamedTuple):
     top: int  # largest |q| of the base
     step: int  # q-exponents of a slot grid advance by step
     q_slots: int
+    width: int
 
 
-def _slots(x: BundleSum, power: int) -> _Slots:
+def packed_layout(x: BundleSum, power: int) -> _Layout | None:
+    """The slot grid that :func:`character_power` packs x^power into, from
+    the terms of x alone, or ``None`` when the packed integer would exceed
+    :data:`MAX_PACKED_BITS`."""
+    rank = x.rank()
+    if rank > 1 and power > MAX_PACKED_BITS:
+        return None  # the packed power holds rank^power >= 2^power
     n = x.context.order
-    exponents = {b.exponent for b in x.terms}
-    indices = {b.index for b in x.terms}
-    t_lo = min(exponents)
-    t_span = max(exponents) - t_lo
-    top = max(indices) - 1
-    step = 2 if len({i % 2 for i in indices}) == 1 else 1
+    t_lo, t_span, _, top, step = _spread(x)
     wrap = n if n and power * t_span >= n else 0
-    return _Slots(
-        t_lo, t_span, wrap, wrap or power * t_span + 1,
-        top, step, power * (2 * top // step) + 1,
-    )
-
-
-def packed_slots(x: BundleSum, power: int) -> int:
-    """Number of slots of the integer that :func:`character_power` packs
-    x^power into, from the terms of x alone."""
-    grid = _slots(x, power)
-    return grid.t_slots * grid.q_slots
+    t_slots = wrap or power * t_span + 1
+    q_slots = power * (2 * top // step) + 1
+    # bit_length(rank^power) is floor(power·log2 rank) + 1; one bit of slack
+    # absorbs the float rounding.
+    width = (int(power * math.log2(rank)) + 9) // 8 if rank > 1 else 1
+    if t_slots * q_slots * width * 8 > MAX_PACKED_BITS:
+        return None
+    return _Layout(t_lo, t_span, wrap, t_slots, top, step, q_slots, width)
 
 
 def character_power(x: BundleSum, power: int) -> dict[IndecomposableBundle, int]:
@@ -388,26 +390,16 @@ def character_power(x: BundleSum, power: int) -> dict[IndecomposableBundle, int]
     t-slots fold cyclically modulo n after each product.  Only the q >= 0
     half is unpacked and read off.
 
-    Raises :class:`PowerTooLargeError` when the packed power would exceed
-    :data:`MAX_PACKED_BITS`; the size is taken from the terms of x, before
-    its character is built.
+    Raises :class:`PowerTooLargeError` when :func:`packed_layout` finds no
+    layout, before the character of x is built.
     """
-    rank = x.rank()
-    if rank > 1 and power > MAX_PACKED_BITS:
-        # The packed power holds rank^power >= 2^power.
+    layout = packed_layout(x, power)
+    if layout is None:
         raise PowerTooLargeError(
             f"tensor power {power} would pack to more than {MAX_PACKED_BITS} bits"
         )
-    t_lo, t_span, wrap, t_slots, top, step, q_slots = _slots(x, power)
-    # bit_length(rank^power) is floor(power·log2 rank) + 1; one bit of slack
-    # absorbs the float rounding.
-    width = (int(power * math.log2(rank)) + 9) // 8 if rank > 1 else 1
+    t_lo, t_span, wrap, t_slots, top, step, q_slots, width = layout
     stride = q_slots * width
-    if t_slots * stride * 8 > MAX_PACKED_BITS:
-        raise PowerTooLargeError(
-            f"tensor power {power} would pack to {t_slots * stride * 8} bits, "
-            f"above the limit of {MAX_PACKED_BITS}"
-        )
 
     c = character(x)
     values = [0] * (t_span * q_slots + 2 * top // step + 1)

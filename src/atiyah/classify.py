@@ -244,10 +244,12 @@ def s_set_symbolic(rank: int, torsion: int) -> SSetDescription:
     return SSetDescription(ctx, (), fams)
 
 
-# Most steps that :func:`s_set_enumerate` may take, by the estimate of
-# :func:`_enumeration_steps`.  ``sset --rank 2 --bound 1000``, about 33M
+# Most steps that :func:`s_set_enumerate` or :func:`p1_s_set_enumerate` may
+# take, by the estimate of :func:`_enumeration_steps` or
+# :func:`_p1_enumeration_steps`.  ``sset --rank 2 --bound 1000``, about 33M
 # steps, takes about 4 s (half of it sorting and printing the 500k classes)
-# and 130 MB on one core of a shared 2-vCPU Xeon.
+# and 130 MB, and ``p1 0 1 7 --bound 1383`` about 3 s, on one core of a shared
+# 2-vCPU Xeon.
 MAX_ENUMERATION_STEPS = 1 << 25
 
 # Most cells that :func:`correspondence_grid` classifies; ``grid --rmax 256
@@ -593,18 +595,50 @@ def p1_classify(degrees) -> ClassificationReport:
     )
 
 
+def _p1_enumeration_steps(degrees: tuple[int, ...], power_bound: int) -> int:
+    """Upper estimate of the work of :func:`p1_s_set_enumerate`, in set
+    insertions, cut short once it passes :data:`MAX_ENUMERATION_STEPS`.
+
+    The m-th power has at most min(comb(m + d - 1, m), m·spread + 1) degrees
+    for d distinct input degrees spread over ``spread``; each meets all k
+    input degrees on the way to the next power and enters the result twice,
+    and a power costs about as much as 16 steps besides.
+    """
+    k, d = len(degrees), len(set(degrees))
+    steps = power_bound * (k + 18)  # the least: one degree per power
+    if d == 1 or steps > MAX_ENUMERATION_STEPS:
+        return steps
+    spread = max(degrees) - min(degrees)
+    sums = 1  # comb(m + d - 1, m), capped once it passes the limit
+    for m in range(1, power_bound + 1):
+        sums = min(sums * (d + m - 1) // m, MAX_ENUMERATION_STEPS + 1)
+        steps += (min(sums, m * spread + 1) - 1) * (k + 2)
+        if steps > MAX_ENUMERATION_STEPS:
+            break
+    return steps
+
+
 def p1_s_set_enumerate(degrees, power_bound: int) -> set[int]:
     """Degrees of the components of (⊕ O(a_i))^{⊗m} for 0 < |m| <= power_bound.
 
     The m-th power splits into line bundles O(d_1 + ... + d_m) over all
     choices d_i from the input degrees; negative powers contribute the
     negated degrees.
+
+    Raises ``ValueError``, before any enumeration, when the work would exceed
+    :data:`MAX_ENUMERATION_STEPS`.
     """
     degrees = tuple(degrees)
     if not degrees:
         raise ValueError("at least one degree is required")
     if power_bound < 1:
         raise ValueError("power bound must be >= 1")
+    steps = _p1_enumeration_steps(degrees, power_bound)
+    if steps > MAX_ENUMERATION_STEPS:
+        raise ValueError(
+            f"enumerating degrees up to power bound {power_bound} would take "
+            f"more than the limit of {MAX_ENUMERATION_STEPS} steps"
+        )
     out: set[int] = set()
     current = {0}
     for _ in range(power_bound):

@@ -17,7 +17,10 @@ from atiyah import (
     sym_power_f2,
     tensor_indec,
 )
+import atiyah.characters as characters
+from atiyah.bundles import MAX_LOOP_WORDS
 from atiyah.characters import character_power
+from atiyah.expressions import evaluate_expression
 
 NT = TorsionContext(0)
 
@@ -328,6 +331,57 @@ def test_oversized_power_rejected_up_front():
         f2.tensor_power(1000).tensor_power(1000)
     with pytest.raises(PowerTooLargeError):
         BundleSum.single(NT, NT.atiyah(10**8)).tensor_power(2)
+
+
+@pytest.mark.parametrize(
+    "expression, torsion, power, route",
+    [
+        ("F_2", 0, 1000, "packed"),
+        ("L^-1*F_2 + O", 4, 150, "packed"),
+        ("F_50000", 0, 2, "products"),
+        ("O + L^100000000", 0, 2, "products"),
+        ("F_250000", 0, 2, "products"),
+        ("F_2", 0, 10**8, "refused"),
+    ],
+)
+def test_tensor_power_route(monkeypatch, expression, torsion, power, route):
+    packed, products = [], []
+    real_power, real_tensor = characters.character_power, BundleSum.tensor
+
+    def recording_power(x, m):
+        result = real_power(x, m)
+        packed.append(m)  # only calls that return a power
+        return result
+
+    def recording_tensor(x, y):
+        products.append(len(y.terms))
+        return real_tensor(x, y)
+
+    x = evaluate_expression(expression, TorsionContext(torsion))
+    monkeypatch.setattr(characters, "character_power", recording_power)
+    monkeypatch.setattr(BundleSum, "tensor", recording_tensor)
+    if route == "refused":
+        with pytest.raises(PowerTooLargeError):
+            x.tensor_power(power)
+    else:
+        x.tensor_power(power)
+    assert packed == ([power] if route == "packed" else [])
+    assert len(products) == (power - 1 if route == "products" else 0)
+
+
+def test_product_at_the_word_limit_computes():
+    # One term against one of index 1024 writes 1024 terms, each multiplicity
+    # below 2^65535 takes 1024 words: 2^20 words, the most allowed.
+    assert 1024 * 1024 == MAX_LOOP_WORDS
+    x = BundleSum.single(NT, NT.atiyah(1024), 2**32767)
+    assert x.tensor(x).terms == {NT.atiyah(j): 2**65534 for j in range(1, 2048, 2)}
+    y = x.scale(2)
+    with pytest.raises(ValueError, match="limit"):
+        y.tensor(y)
+    # A pair writes min(r, s) terms, so a small index against a huge one is cheap.
+    f2, huge = BundleSum.single(NT, NT.atiyah(2)), BundleSum.single(NT, NT.atiyah(10**8))
+    for product in (huge.tensor(f2), f2.tensor(huge)):
+        assert product.terms == {NT.atiyah(10**8 - 1): 1, NT.atiyah(10**8 + 1): 1}
 
 
 # -- rank / det examples ----------------------------------------------------------

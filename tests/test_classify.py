@@ -25,7 +25,7 @@ from atiyah import (
     s_set_symbolic,
 )
 from atiyah.bundles import component_indices
-from atiyah.classify import _enumeration_steps
+from atiyah.classify import MAX_ENUMERATION_STEPS, _enumeration_steps, _p1_enumeration_steps
 
 NT = TorsionContext(0)
 
@@ -243,6 +243,38 @@ def counted_enumeration_work(rank, torsion, bound):
 @settings(max_examples=80, deadline=None)
 def test_enumeration_estimate_bounds_the_work(rank, torsion, bound):
     assert counted_enumeration_work(rank, torsion, bound) <= _enumeration_steps(rank, bound)
+
+
+def counted_p1_work(degrees, bound):
+    """Set insertions of the P^1 enumeration plus 16 per power, counted."""
+    steps = 0
+    current = {0}
+    for _ in range(bound):
+        steps += len(current) * len(degrees) + 16
+        current = {c + d for c in current for d in degrees}
+        steps += 2 * len(current)
+    return steps
+
+
+@given(
+    st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=15),
+)
+@settings(max_examples=80, deadline=None)
+def test_p1_enumeration_estimate_bounds_the_work(degrees, bound):
+    assert counted_p1_work(degrees, bound) <= _p1_enumeration_steps(tuple(degrees), bound)
+
+
+def test_p1_enumeration_at_the_step_limit_computes():
+    degrees, bound = (0, 1, 7), 1383
+    assert _p1_enumeration_steps(degrees, bound) <= MAX_ENUMERATION_STEPS
+    found = p1_s_set_enumerate(degrees, bound)
+    assert max(found) == 7 * bound and min(found) == -7 * bound
+    assert 7 * bound - 1 not in found  # one short of the top needs a 6
+    with pytest.raises(ValueError, match="limit"):
+        p1_s_set_enumerate(degrees, bound + 1)
+    # Far-apart degrees make few sums, whatever their spread.
+    assert p1_s_set_enumerate((0, 10**9), 300) == {k * 10**9 for k in range(-300, 301)}
 
 
 # -- generator polynomials ----------------------------------------------------------

@@ -167,6 +167,8 @@ def test_oversized_power_exits_two_promptly(argv):
         ("grid", "--rmax", "100000", "--nmax", "100000"),
         ("sset", "--rank", "2", "--bound", "100000"),
         ("sset", "--rank", "1000000", "--bound", "2"),
+        ("tensor", "F_100000000*F_100000000"),
+        ("p1", "0", "1", "7", "--bound", "100000"),
     ],
 )
 def test_oversized_work_exits_two_promptly(argv):
