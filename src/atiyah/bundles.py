@@ -17,7 +17,7 @@ computation; exponents are canonicalized at construction so that equality of
 sums is plain structural equality.  :class:`KRingElement` holds signed
 Z-linear combinations of classes; :class:`BundleSum` is its non-negative view,
 the actual direct sums.  Both multiply through one kernel, :func:`_cg_product`.
-Tensor powers of bundle sums mostly take another route, through packed
+Tensor powers of bundle sums mostly take another route, a recurrence on
 characters (:meth:`BundleSum.tensor_power`), while ``KRingElement ** m`` stays
 repeated Clebsch-Gordan products, so the two can be compared.
 """
@@ -165,7 +165,8 @@ def dual(context: TorsionContext, a: IndecomposableBundle) -> IndecomposableBund
 
 
 # Most multiplicity words (64 bits) that one product, or the repeated products
-# of a tensor power, may write, by :func:`_product_words` or :func:`_loop_words`.
+# of a tensor power, may write, by :func:`_product_words` or :func:`_loop_words`,
+# and most word operations of a power by ``characters._recurrence_words``.
 # F_1000000^2 writes 10^6 terms of one word each in about 3 s on one core of
 # a shared 2-vCPU Xeon.
 MAX_LOOP_WORDS = 1 << 20
@@ -181,12 +182,19 @@ def _product_words(terms: int, index_sum: int, bits: int) -> int:
 
 def _spread(x: KRingElement) -> tuple[int, int, int, int, int]:
     """(lowest line exponent, their span, number of distinct ones, top index
-    - 1, 2 if every index has one parity else 1) of a nonzero sum."""
-    exponents = {b.exponent for b in x.terms}
+    - 1, 2 if every index has one parity else 1) of a nonzero sum.  Over L of
+    order n each exponent e lies at lowest + reduce_exponent(e - lowest), in
+    the window of least span: L^3 + O over order 4 spans L^3, L^4."""
+    exponents = sorted({b.exponent for b in x.terms})
     indices = {b.index for b in x.terms}
-    t_lo = min(exponents)
+    t_lo, span = exponents[0], exponents[-1] - exponents[0]
+    n = x.context.order
+    if n:
+        for lo, hi in zip(exponents, exponents[1:]):
+            if lo + n - hi < span:  # the window from hi up to lo + n
+                t_lo, span = hi, lo + n - hi
     step = 2 if len({i % 2 for i in indices}) == 1 else 1
-    return t_lo, max(exponents) - t_lo, len(exponents), max(indices) - 1, step
+    return t_lo, span, len(exponents), max(indices) - 1, step
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,16 +441,15 @@ class BundleSum(KRingElement):
 
         The zeroth power is O by the empty-product convention, and the first
         is the sum itself.  Every other power follows one plan, made from the
-        terms alone before any arithmetic.  Repeated products
-        (``KRingElement.__pow__``) are taken when :func:`_loop_words` finds
-        they write at most :data:`MAX_LOOP_WORDS` words and, if
-        :func:`atiyah.characters.packed_layout` gives a packing, no more words
-        than it has slots (a word and a slot each cost about a microsecond of
-        interpreter work); else that packing
-        (:func:`atiyah.characters.character_power`); else
-        :class:`atiyah.characters.PowerTooLargeError`.  A high index or line
-        exponents far apart make many slots, so squares and sparse sums take
-        repeated products.
+        terms alone before any arithmetic: repeated products
+        (``KRingElement.__pow__``) when :func:`_loop_words` finds they write
+        no more words than the Miller recurrence on the character takes word
+        operations (``characters._recurrence_words``), and at most
+        :data:`MAX_LOOP_WORDS`; else the recurrence
+        (:func:`atiyah.characters.character_power`), which raises
+        :class:`atiyah.characters.PowerTooLargeError` above that limit too.
+        It costs every monomial of the base at every q-step, so squares, high
+        indices and line exponents far apart take repeated products.
         """
         if not self.terms:
             raise ValueError("cannot take tensor powers of the zero sum")
@@ -454,15 +461,9 @@ class BundleSum(KRingElement):
             return base
         from . import characters
 
-        layout = characters.packed_layout(base, power)
-        cap = min(layout.t_slots * layout.q_slots, MAX_LOOP_WORDS) if layout else MAX_LOOP_WORDS
+        cap = min(characters._recurrence_words(base, power, _spread(base))[0], MAX_LOOP_WORDS)
         if _loop_words(base, power, cap) <= cap:
             return KRingElement.__pow__(base, power)
-        if layout is None:
-            raise characters.PowerTooLargeError(
-                f"tensor power {power} would pack to more than {characters.MAX_PACKED_BITS} "
-                f"bits, and repeated products would write more than {MAX_LOOP_WORDS} words"
-            )
         return BundleSum(self.context, characters.character_power(base, power))
 
     __pow__ = tensor_power

@@ -25,13 +25,10 @@ allocates slots for the gaps between them.  It packs coefficients, not
 brackets, and knows nothing of the Clebsch-Gordan rule, which keeps the
 oracle independent of the formula it checks.
 
-:func:`character_power` takes tensor powers this way: the character is
-packed into one integer, raised to the power and unpacked, in the slot grid
-that :func:`packed_layout` gives, the one place that applies
-:data:`MAX_PACKED_BITS`.  ``BundleSum.tensor_power`` plans each power once
-from that layout and an estimate of the cost of repeated products, and packs
-only when that is the cheaper route; ``KRingElement.__pow__`` keeps the
-Clebsch-Gordan route.
+:func:`character_power` takes tensor powers by the J.C.P. Miller recurrence
+in q over t-rows packed the same way, one small-by-big product per monomial of
+the base and one exact division per row; ``KRingElement.__pow__`` keeps the
+Clebsch-Gordan route, and ``BundleSum.tensor_power`` chooses by cost.
 """
 
 from __future__ import annotations
@@ -40,15 +37,10 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from .bundles import BundleSum, ContextMismatchError, IndecomposableBundle, TorsionContext, _spread
-
-
-# Largest packed integer, in bits, that :func:`packed_layout` lays out.
-# F_2^1000 packs to about 1 Mbit and takes well under 0.1 s; F_2^4000, just
-# below the limit, takes about 4.5 s on one core of a shared 2-vCPU Xeon.
-MAX_PACKED_BITS = 1 << 24
+from .bundles import MAX_LOOP_WORDS, BundleSum, ContextMismatchError, IndecomposableBundle
+from .bundles import TorsionContext, _spread
 
 
 # struct/memoryview format of each slot width that one C call packs or reads
@@ -150,9 +142,8 @@ class NotACharacterError(ValueError):
 
 
 class PowerTooLargeError(ValueError):
-    """Raised, before any arithmetic, for a tensor power too large to compute:
-    by :func:`character_power` when it has no packed layout, and by
-    ``BundleSum.tensor_power`` when repeated products are too large too."""
+    """Raised by :func:`character_power`, before any arithmetic, for a tensor
+    power that would take more than ``MAX_LOOP_WORDS`` word operations."""
 
 
 @dataclass(frozen=True)
@@ -305,13 +296,18 @@ def character(x: BundleSum) -> BivariateCharacter:
     return BivariateCharacter(x.context, acc)
 
 
-def _read_off(coeffs: Mapping[tuple[int, int], int]) -> dict[IndecomposableBundle, int]:
-    """Multiplicities of a q-symmetric character, from its q >= 0 coefficients.
+def decompose_character(c: BivariateCharacter) -> BundleSum:
+    """Invert :func:`character` by the linear read-off from the q >= 0
+    coefficients, mult(L^e ⊗ F_{w+1}) = c(e, w) − c(e, w+2).
 
-    mult(L^e ⊗ F_{w+1}) = c(e, w) − c(e, w+2).  Raises
-    :class:`NotACharacterError` for a negative difference, which includes a
-    gap: c(e, w−2) = 0 below a nonzero c(e, w) with w >= 2.
+    Raises :class:`NotACharacterError` when the input is not a non-negative
+    combination of bracket characters: it is not invariant under q -> q^{-1},
+    or some difference c(e, w) − c(e, w+2) is negative, which includes a gap:
+    c(e, w−2) = 0 below a nonzero c(e, w) with w >= 2.
     """
+    if not c.is_q_symmetric():
+        raise NotACharacterError("not a character: not invariant under q -> 1/q")
+    coeffs = c.coeffs
     terms: dict[IndecomposableBundle, int] = {}
     for (t, q), k in coeffs.items():
         if q < 0 or not k:
@@ -327,110 +323,113 @@ def _read_off(coeffs: Mapping[tuple[int, int], int]) -> dict[IndecomposableBundl
             )
         if m:
             terms[IndecomposableBundle(t, q + 1)] = m
-    return terms
+    return BundleSum(c.context, terms)
 
 
-def decompose_character(c: BivariateCharacter) -> BundleSum:
-    """Invert :func:`character` by the linear read-off.
-
-    Raises :class:`NotACharacterError` when the input is not a non-negative
-    combination of bracket characters: it is not invariant under q -> q^{-1},
-    or some difference c(e, w) − c(e, w+2) is negative.
-    """
-    if not c.is_q_symmetric():
-        raise NotACharacterError("not a character: not invariant under q -> 1/q")
-    return BundleSum(c.context, _read_off(c.coeffs))
-
-
-class _Layout(NamedTuple):
-    """Slot grid of a packed power: ``t_slots`` rows of ``q_slots`` slots of
-    ``width`` bytes."""
-
-    t_lo: int  # lowest line exponent of the base
-    t_span: int  # spread of the line exponents of the base
-    wrap: int  # torsion order to fold the rows modulo, or 0
-    t_slots: int
-    top: int  # largest |q| of the base
-    step: int  # q-exponents of a slot grid advance by step
-    q_slots: int
-    width: int
-
-
-def packed_layout(x: BundleSum, power: int) -> _Layout | None:
-    """The slot grid that :func:`character_power` packs x^power into, from
-    the terms of x alone, or ``None`` when the packed integer would exceed
-    :data:`MAX_PACKED_BITS`."""
+def _recurrence_words(x: BundleSum, power: int, spread: tuple[int, ...]) -> tuple[int, int]:
+    """(Upper estimate of the word operations, slot width in bytes) of
+    :func:`character_power`: each q-step multiplies every monomial of the base
+    outside the lowest q-row by an earlier row of power·span + 1 slots of at
+    least a word, and divides by that row.  That bounds the rest of the work."""
     rank = x.rank()
-    if rank > 1 and power > MAX_PACKED_BITS:
-        return None  # the packed power holds rank^power >= 2^power
-    n = x.context.order
-    t_lo, t_span, _, top, step = _spread(x)
-    wrap = n if n and power * t_span >= n else 0
-    t_slots = wrap or power * t_span + 1
-    q_slots = power * (2 * top // step) + 1
-    # bit_length(rank^power) is floor(power·log2 rank) + 1; one bit of slack
-    # absorbs the float rounding.
-    width = (int(power * math.log2(rank)) + 9) // 8 if rank > 1 else 1
-    if t_slots * q_slots * width * 8 > MAX_PACKED_BITS:
-        return None
-    return _Layout(t_lo, t_span, wrap, t_slots, top, step, q_slots, width)
+    if rank > 1 and power >> 6 > MAX_LOOP_WORDS:
+        return power >> 6, 0  # every slot holds rank^power >= 2^power
+    # rank^power has floor(power·log2 rank) + 1 bits; one more absorbs rounding.
+    width = _slot_width(int(power * math.log2(rank)) + 2) if rank > 1 else 1
+    t_lo, span, _, top, step = spread
+    per_slot = (width + 7) // 8
+    lowest = [x.context.reduce_exponent(b.exponent - t_lo) for b in x.terms if b.index == top + 1]
+    divisor = (max(lowest) - min(lowest)) * per_slot + 1
+    monomials = sum(b.index for b in x.terms) - len(lowest)
+    steps = power * (2 * top // step) // 2 + 1
+    return steps * (monomials + divisor) * (power * span + 1) * per_slot, width
+
+
+def _miller(terms: list, a0: int, c0: int, power: int, count: int) -> list[int]:
+    """c_0, ..., c_{count−1} of P^power for P = a0 + Σ (a << shift)·y^j over
+    ``terms`` (j, a, shift), j >= 1, given c_0 = a0^power, by the J.C.P. Miller
+    recurrence k·a0·c_k = Σ_j ((power + 1)·j − k)·a_j·c_{k−j} (Knuth, TAOCP
+    vol. 2, §4.7; Zeilberger, J. Difference Eq. Appl. 1995).  Coefficients may
+    be polynomials packed at a power of two: evaluation is a ring homomorphism,
+    so every division is exact.  A one-monomial a0 divides as a small integer
+    once its trailing zero bits are shifted off."""
+    zeros = (a0 & -a0).bit_length() - 1
+    a0 >>= zeros
+    c = [c0]
+    for k in range(1, count):
+        s = 0
+        for j, a, shift in terms:
+            if j <= k:
+                s += ((power + 1) * j - k) * a * c[k - j] << shift
+        c.append((s >> zeros) // (k * a0))
+    return c
+
+
+def _fold(v: int, bits: int, period: int) -> int:
+    """A packed polynomial of ``bits`` bits modulo t^n − 1, ``period`` = n slots,
+    by folds modulo t^L − 1 for L = 2^i·n down to n, which carry no slot."""
+    size = period
+    while 2 * size < bits:
+        size *= 2
+    while size >= period:
+        v = (v & ((1 << size) - 1)) + (v >> size)
+        size //= 2
+    return v
 
 
 def character_power(x: BundleSum, power: int) -> dict[IndecomposableBundle, int]:
-    """Decomposition of x^power, for a nonzero bundle sum x and power >= 2,
-    by Kronecker substitution.
+    """Decomposition of x^power, for a nonzero bundle sum x and power >= 1.
 
-    Each monomial t^e q^w of the character of x gets a slot of ``width``
-    bytes in one integer, at a position linear in e and w (both shifted to
-    start at 0, w also halved when every q-exponent has the same parity), so
-    that integer products are Laurent polynomial products.  The coefficients
-    of every power up to x^power are non-negative and sum to at most
-    rank^power < 2^(8·width), so no slot carries into the next.  Over L of
-    order n, once the t-exponents of the power can span n residues, the
-    t-slots fold cyclically modulo n after each product.  Only the q >= 0
-    half is unpacked and read off.
+    The character of x is t^lo·q^(−top)·Σ_j A_j(t)·q^(step·j), line exponents
+    lifted to the window of least span, q halved if all have one parity.  Each
+    A_j is packed at t = 2^(8·width).  :func:`_miller` gives A_0^power in t,
+    then the rows of the power in q up to the middle, the q >= 0 half by
+    q-symmetry.  Over L of order n the rows are folded modulo t^n − 1 only
+    then (reduction is a ring homomorphism); each multiplicity of
+    :func:`decompose_character` is then a difference of two slots.
 
-    Raises :class:`PowerTooLargeError` when :func:`packed_layout` finds no
-    layout, before the character of x is built.
+    Raises :class:`PowerTooLargeError`, before the character is built, when
+    :func:`_recurrence_words` is above ``MAX_LOOP_WORDS``.
     """
-    layout = packed_layout(x, power)
-    if layout is None:
+    spread = t_lo, span, _, top, step = _spread(x)
+    words, width = _recurrence_words(x, power, spread)
+    if words > MAX_LOOP_WORDS:
         raise PowerTooLargeError(
-            f"tensor power {power} would pack to more than {MAX_PACKED_BITS} bits"
+            f"tensor power {power} is too large: it would take more than "
+            f"{MAX_LOOP_WORDS} word operations"
         )
-    t_lo, t_span, wrap, t_slots, top, step, q_slots, width = layout
-    stride = q_slots * width
-
-    c = character(x)
-    values = [0] * (t_span * q_slots + 2 * top // step + 1)
-    for (t, q), k in c.coeffs.items():
-        values[(t - t_lo) * q_slots + (q + top) // step] = k
-    base = _pack(values, width)
-
-    if wrap:
-        shift = wrap * stride * 8
-        mask = (1 << shift) - 1
-        v = base
-        for bit in bin(power)[3:]:
-            v *= v
-            v = (v & mask) + (v >> shift)
-            if bit == "1":
-                v *= base
-                v = (v & mask) + (v >> shift)
-    else:
-        v = pow(base, power)
-
-    data = memoryview(v.to_bytes(t_slots * stride, "little"))
-    q_shift = power * top
-    first = -(-q_shift // step)  # first slot with q >= 0
-    half: dict[tuple[int, int], int] = {}
-    for j in range(t_slots):
-        e = c.context.reduce_exponent(power * t_lo + j)
-        row = int.from_bytes(data[j * stride + first * width:(j + 1) * stride], "little")
-        for i, k in enumerate(_unpack(row, q_slots - first, width), first):
-            if k:
-                half[(e, i * step - q_shift)] = k
-    return _read_off(half)
+    reduce, bits = x.context.reduce_exponent, 8 * width
+    lowest: dict[int, int] = {}  # A_0, by lifted line exponent
+    terms = []  # (j, coefficient, shift) of every monomial of A_j, j >= 1
+    for (t, q), k in character(x).coeffs.items():
+        j, e = (q + top) // step, reduce(t - t_lo)
+        if j:
+            terms.append((j, k, e * bits))
+        else:
+            lowest[e] = k
+    lo = min(lowest)
+    a = [lowest.get(e, 0) for e in range(lo, max(lowest) + 1)]
+    in_t = [(j, k, 0) for j, k in enumerate(a) if j and k]
+    c0 = _pack(_miller(in_t, a[0], a[0] ** power, power, power * (len(a) - 1) + 1), width)
+    rows = _miller(terms, _pack(a, width) << lo * bits, c0 << power * lo * bits,
+                   power, power * (2 * top // step) // 2 + 1)
+    slots, n = power * span + 1, x.context.order
+    if n and slots > n:
+        rows = [_fold(row, slots * bits, n * bits) for row in rows]
+        slots = n
+    # All rows in one integer, so that one call reads every slot.  Row k
+    # holds q = power·top − step·k, and q + 2 is the row 2 // step before it.
+    data = b"".join(row.to_bytes(slots * width, "little") for row in rows)
+    values = _unpack(int.from_bytes(data, "little"), len(rows) * slots, width)
+    above = 2 // step * slots
+    result = {}
+    for i, c in enumerate(values):
+        if i >= above:
+            c -= values[i - above]
+        if c:
+            k, e = divmod(i, slots)
+            result[IndecomposableBundle(reduce(power * t_lo + e), power * top - step * k + 1)] = c
+    return result
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bundles import BundleSum, IndecomposableBundle, TorsionContext
@@ -379,7 +380,14 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, which is not an error of the command.
+        # Send the unwritten rest to devnull, so that the flush at shutdown
+        # does not fail on the closed pipe as well.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

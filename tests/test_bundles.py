@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atiyah import (
@@ -18,7 +18,7 @@ from atiyah import (
     tensor_indec,
 )
 import atiyah.characters as characters
-from atiyah.bundles import MAX_LOOP_WORDS
+from atiyah.bundles import MAX_LOOP_WORDS, _loop_words
 from atiyah.characters import character_power
 from atiyah.expressions import evaluate_expression
 
@@ -277,14 +277,42 @@ def test_mixed_parity_power_matches_ring_power():
             assert packed_power(x, m) == ring_power(x, m)
 
 
+@given(
+    st.sampled_from([TorsionContext(n) for n in (0, 1, 2, 3, 4, 6)]),
+    st.data(),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_recurrence_matches_ring_power(ctx, data, big):
+    # Multiplicities from 2^64 up take several words per slot; small ones
+    # allow powers up to 40.  Mixed index parities mix the q-parities.
+    mults = st.sampled_from([2**64, 2**64 + 1, 3 * 2**70]) if big else st.integers(1, 3)
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(1, 4), mults), min_size=1, max_size=3
+    ))
+    x = BundleSum.of(ctx, [(ctx.bundle(e, r), k) for e, r, k in pairs])
+    m = data.draw(st.integers(min_value=1, max_value=12 if big else 40))
+    # Keep the reference, repeated Clebsch-Gordan products, small.
+    assume(_loop_words(x, m, 1 << 17) <= 1 << 17)
+    assert packed_power(x, m) == ring_power(x, m)
+
+
+def test_recurrence_divides_by_zero_divisor_rows():
+    # The lowest q-row of F_3 + L^(n/2)*F_3 is 1 + t^(n/2), a zero divisor
+    # modulo t^n - 1: the recurrence divides before reducing, so it is exact.
+    for n in (2, 4, 6):
+        ctx = TorsionContext(n)
+        x = sum_of(ctx, (1, 0, 3), (1, n // 2, 3))
+        for m in (2, 7, 20, 40):
+            assert packed_power(x, m) == ring_power(x, m)
+
+
 def test_f2_power_multiplicities_are_ballot_numbers():
-    m = 300
-    power = BundleSum.single(NT, NT.atiyah(2)).tensor_power(m)
-    expected = {
-        NT.atiyah(m - 2 * k + 1): math.comb(m, k) - (math.comb(m, k - 1) if k else 0)
-        for k in range(m // 2 + 1)
-    }
-    assert power.terms == expected
+    for m in (300, 5000):  # F_2^5000: too many words for repeated products
+        power = BundleSum.single(NT, NT.atiyah(2)).tensor_power(m)
+        combs = [0] + [math.comb(m, k) for k in range(m // 2 + 1)]
+        expected = {NT.atiyah(m - 2 * k + 1): combs[k + 1] - combs[k] for k in range(m // 2 + 1)}
+        assert power.terms == expected
 
 
 def test_first_power_of_high_index_is_immediate():

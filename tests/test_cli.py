@@ -175,20 +175,44 @@ def test_oversized_work_exits_two_promptly(argv):
     assert "limit" in assert_exits_two_promptly(argv)
 
 
-def assert_exits_two_promptly(argv):
-    """Run the CLI on argv; check it exits 2 with a message; return stderr."""
-    # A fresh process, so that an unbounded computation is cut by the timeout.
+def cli_env():
+    """The environment for a CLI subprocess that imports this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def assert_exits_two_promptly(argv):
+    """Run the CLI on argv; check it exits 2 with a message; return stderr."""
+    # A fresh process, so that an unbounded computation is cut by the timeout.
     result = subprocess.run(
         [sys.executable, "-m", "atiyah.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=2,
+        capture_output=True, text=True, env=cli_env(), timeout=2,
     )
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
     return result.stderr
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
+    # About 250 kB of output, more than a pipe holds, so the CLI is still
+    # writing when the reader closes the pipe, as in `atiyah sset ... | head`.
+    out = tmp_path / "sset.txt"
+    argv = ["sset", "--rank", "2", "--bound", "200", "--out", str(out)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "atiyah.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    status = proc.wait(timeout=30)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert status == 0
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert out.read_text().startswith(head.decode())
 
 
 def test_express_chain_mismatch_is_usage_error(capsys):
