@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .bundles import BundleSum, IndecomposableBundle, TorsionContext
+from .bundles import IndecomposableBundle, TorsionContext
 from .characters import oracle_check
 from .classify import (
     ClassificationReport,
@@ -50,32 +50,73 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-# -- rendering --------------------------------------------------------------
+# -- subcommands --------------------------------------------------------------
+#
+# Each subcommand is a compute step ``_cmd_*(args) -> (result, exit status)``,
+# which does the same work for both formats, and two pure renderers of its
+# result: one to the JSON payload, one to the text report.  ``main`` picks the
+# renderer, so each renderer runs only for its own format.
 
 
-def _sum_terms(x: BundleSum) -> list[dict]:
-    return [
-        {"multiplicity": x.terms[b], "bundle": str(b)} for b in x.support()
-    ]
+def _cmd_tensor(args):
+    ctx = TorsionContext(args.torsion)
+    return (args.expression, args.torsion, evaluate_expression(args.expression, ctx)), 0
 
 
-def _decomposition_payload(expression: str, torsion: int, x: BundleSum) -> dict:
+def _cmd_power(args):
+    ctx = TorsionContext(args.torsion)
+    result = evaluate_expression(args.expression, ctx).tensor_power(args.exponent)
+    return (f"({args.expression})^{args.exponent}", args.torsion, result), 0
+
+
+def _decomposition_to_json(decomposition) -> dict:
+    expression, torsion, x = decomposition
     return {
         "expression": expression,
         "torsion": torsion,
-        "terms": _sum_terms(x),
+        "terms": [{"multiplicity": x.terms[b], "bundle": str(b)} for b in x.support()],
         "text": str(x),
     }
 
 
-def _presentation_text(report: ClassificationReport) -> str:
-    text = str(report.presentation)
-    gens = report.presentation.generators
-    if gens:
-        names = ["x", "y"][: len(gens)]
-        bindings = ", ".join(f"{n} = {g}" for n, g in zip(names, gens))
-        text += f"   ({bindings})"
-    return text
+def _decomposition_to_text(decomposition) -> str:
+    return str(decomposition[2])
+
+
+def _cmd_sset(args):
+    symbolic = s_set_symbolic(args.rank, args.torsion)
+    enumerated = sorted(
+        s_set_enumerate(args.rank, args.torsion, args.bound),
+        key=IndecomposableBundle.sort_key,
+    )
+    return (args.rank, args.torsion, args.bound, symbolic, enumerated), 0
+
+
+def _sset_to_json(result) -> dict:
+    rank, torsion, bound, symbolic, enumerated = result
+    return {
+        "input": {"rank": rank, "torsion": torsion},
+        "bound": bound,
+        "symbolic": {
+            "finite": [str(b) for b in symbolic.finite_part],
+            "families": [f.description for f in symbolic.families],
+        },
+        "enumerated": [str(b) for b in enumerated],
+    }
+
+
+def _sset_to_text(result) -> str:
+    rank, torsion, bound, symbolic, enumerated = result
+    lines = [f"S(E) for rank {rank}, torsion {torsion}:"]
+    for entry in symbolic.describe():
+        lines.append(f"  {entry}")
+    lines.append(f"enumerated up to power bound {bound}:")
+    lines.append("  " + ", ".join(str(b) for b in enumerated))
+    return "\n".join(lines)
+
+
+def _cmd_classify(args):
+    return classify(args.rank, args.torsion), 0
 
 
 def report_to_json(report: ClassificationReport) -> dict:
@@ -103,6 +144,16 @@ def report_to_json(report: ClassificationReport) -> dict:
     if report.notes:
         payload["notes"] = list(report.notes)
     return payload
+
+
+def _presentation_text(report: ClassificationReport) -> str:
+    text = str(report.presentation)
+    gens = report.presentation.generators
+    if gens:
+        names = ["x", "y"][: len(gens)]
+        bindings = ", ".join(f"{n} = {g}" for n, g in zip(names, gens))
+        text += f"   ({bindings})"
+    return text
 
 
 def report_to_text(report: ClassificationReport) -> str:
@@ -135,73 +186,27 @@ def report_to_text(report: ClassificationReport) -> str:
     return "\n".join(lines)
 
 
-# -- subcommand handlers ------------------------------------------------------
-
-
-def _cmd_tensor(args) -> tuple[str, int]:
-    ctx = TorsionContext(args.torsion)
-    result = evaluate_expression(args.expression, ctx)
-    if args.format == "json":
-        return json.dumps(_decomposition_payload(args.expression, args.torsion, result), indent=2), 0
-    return str(result), 0
-
-
-def _cmd_power(args) -> tuple[str, int]:
-    ctx = TorsionContext(args.torsion)
-    result = evaluate_expression(args.expression, ctx).tensor_power(args.exponent)
-    label = f"({args.expression})^{args.exponent}"
-    if args.format == "json":
-        return json.dumps(_decomposition_payload(label, args.torsion, result), indent=2), 0
-    return str(result), 0
-
-
-def _cmd_sset(args) -> tuple[str, int]:
-    symbolic = s_set_symbolic(args.rank, args.torsion)
-    enumerated = sorted(
-        s_set_enumerate(args.rank, args.torsion, args.bound),
-        key=IndecomposableBundle.sort_key,
-    )
-    if args.format == "json":
-        payload = {
-            "input": {"rank": args.rank, "torsion": args.torsion},
-            "bound": args.bound,
-            "symbolic": {
-                "finite": [str(b) for b in symbolic.finite_part],
-                "families": [f.description for f in symbolic.families],
-            },
-            "enumerated": [str(b) for b in enumerated],
-        }
-        return json.dumps(payload, indent=2), 0
-    lines = [f"S(E) for rank {args.rank}, torsion {args.torsion}:"]
-    for entry in symbolic.describe():
-        lines.append(f"  {entry}")
-    lines.append(f"enumerated up to power bound {args.bound}:")
-    lines.append("  " + ", ".join(str(b) for b in enumerated))
-    return "\n".join(lines), 0
-
-
-def _cmd_classify(args) -> tuple[str, int]:
-    report = classify(args.rank, args.torsion)
-    if args.format == "json":
-        return json.dumps(report_to_json(report), indent=2), 0
-    return report_to_text(report), 0
-
-
-def _cmd_express(args) -> tuple[str, int]:
+def _cmd_express(args):
     if args.chain == "odd" and args.index % 2 == 0:
         raise _UsageError("--chain odd requires an odd --index")
-    poly = express_in_generator(args.index, args.chain)
     generator = "[F_2]" if args.chain == "even" else "[F_3]"
-    if args.format == "json":
-        payload = {
-            "index": args.index,
-            "chain": args.chain,
-            "generator": generator,
-            "coefficients": list(poly.coefficients),
-            "polynomial": str(poly),
-        }
-        return json.dumps(payload, indent=2), 0
-    return f"[F_{args.index}] = {poly}   (x = {generator})", 0
+    return (args.index, args.chain, generator, express_in_generator(args.index, args.chain)), 0
+
+
+def _express_to_json(result) -> dict:
+    index, chain, generator, poly = result
+    return {
+        "index": index,
+        "chain": chain,
+        "generator": generator,
+        "coefficients": list(poly.coefficients),
+        "polynomial": str(poly),
+    }
+
+
+def _express_to_text(result) -> str:
+    index, chain, generator, poly = result
+    return f"[F_{index}] = {poly}   (x = {generator})"
 
 
 _VERIFY_PROBES = ((0, 0), (1, -1), (2, 1))
@@ -213,7 +218,7 @@ _VERIFY_PROBES = ((0, 0), (1, -1), (2, 1))
 MAX_VERIFY_MONOMIALS = 1 << 20
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args):
     monomials = len(_VERIFY_PROBES) * args.rmax * (args.rmax + 1) ** 2 // 2
     if monomials > MAX_VERIFY_MONOMIALS:
         raise ValueError(
@@ -221,81 +226,90 @@ def _cmd_verify(args) -> tuple[str, int]:
             f"monomials, above the limit of {MAX_VERIFY_MONOMIALS}"
         )
     ctx = TorsionContext(args.torsion)
-    total = 0
-    agreements = 0
-    failures = []
-    for r in range(1, args.rmax + 1):
-        for s in range(1, r + 1):
-            total += 1
-            ok = True
-            for ea, eb in _VERIFY_PROBES:
-                check = oracle_check(ctx, ctx.bundle(ea, r), ctx.bundle(eb, s))
-                if not check.agrees:
-                    ok = False
-                    failures.append(
-                        f"F_{r} x F_{s}: formula {check.from_formula} "
-                        f"vs oracle {check.from_character}"
-                    )
-                    break
-            if ok:
-                agreements += 1
-    text = f"oracle agreement {agreements}/{total} pairs"
-    if args.format == "json":
-        payload = {"pairs": total, "agreements": agreements, "ok": agreements == total}
-        if failures:
-            payload["failures"] = failures
-        text = json.dumps(payload, indent=2)
-    elif failures:
-        text += "\n" + "\n".join(failures)
-    return text, 0 if agreements == total else 2
+    pairs = [(r, s) for r in range(1, args.rmax + 1) for s in range(1, r + 1)]
+    failures = []  # at most one per pair: its first disagreeing probe
+    for r, s in pairs:
+        for ea, eb in _VERIFY_PROBES:
+            check = oracle_check(ctx, ctx.bundle(ea, r), ctx.bundle(eb, s))
+            if not check.agrees:
+                failures.append(
+                    f"F_{r} x F_{s}: formula {check.from_formula} "
+                    f"vs oracle {check.from_character}"
+                )
+                break
+    return (len(pairs), len(pairs) - len(failures), failures), 2 if failures else 0
 
 
-def _cmd_grid(args) -> tuple[str, int]:
+def _verify_to_json(result) -> dict:
+    total, agreements, failures = result
+    payload = {"pairs": total, "agreements": agreements, "ok": agreements == total}
+    if failures:
+        payload["failures"] = failures
+    return payload
+
+
+def _verify_to_text(result) -> str:
+    total, agreements, failures = result
+    return "\n".join([f"oracle agreement {agreements}/{total} pairs", *failures])
+
+
+def _cmd_grid(args):
     cells = correspondence_grid(args.rmax, args.nmax)
-    holding = sum(1 for c in cells if c.correspondence_holds)
-    ok = holding == len(cells)
-    if args.format == "json":
-        payload = {
-            "cells": [
-                {
-                    "rank": c.rank,
-                    "torsion": c.torsion,
-                    "krull_dim": c.krull_dim,
-                    "group_dim": c.group.dimension,
-                    "holds": c.correspondence_holds,
-                }
-                for c in cells
-            ],
-            "all_hold": ok,
-        }
-        return json.dumps(payload, indent=2), 0 if ok else 2
+    return cells, 0 if all(c.correspondence_holds for c in cells) else 2
+
+
+def _grid_to_json(cells) -> dict:
+    return {
+        "cells": [
+            {
+                "rank": c.rank,
+                "torsion": c.torsion,
+                "krull_dim": c.krull_dim,
+                "group_dim": c.group.dimension,
+                "holds": c.correspondence_holds,
+            }
+            for c in cells
+        ],
+        "all_hold": all(c.correspondence_holds for c in cells),
+    }
+
+
+def _grid_to_text(cells) -> str:
     lines = ["rank torsion dimR dimG holds"]
     for c in cells:
         lines.append(
             f"{c.rank:4d} {c.torsion:7d} {c.krull_dim:4d} {c.group.dimension:4d} "
             f"{str(c.correspondence_holds).lower()}"
         )
+    holding = sum(1 for c in cells if c.correspondence_holds)
     lines.append(f"dimension correspondence holds in {holding}/{len(cells)} cells")
-    return "\n".join(lines), 0 if ok else 2
+    return "\n".join(lines)
 
 
-def _cmd_p1(args) -> tuple[str, int]:
+def _cmd_p1(args):
     report = p1_classify(args.degrees)
-    if args.format == "json":
-        return json.dumps(report_to_json(report), indent=2), 0
-    lines = [report_to_text(report)]
     enumerated = sorted(p1_s_set_enumerate(args.degrees, args.bound))
-    lines.append(
-        f"degrees enumerated up to power bound {args.bound}: "
+    return (report, args.bound, enumerated), 0
+
+
+def _p1_to_json(result) -> dict:
+    report, bound, enumerated = result
+    return {**report_to_json(report), "bound": bound, "enumerated": enumerated}
+
+
+def _p1_to_text(result) -> str:
+    report, bound, enumerated = result
+    return (
+        f"{report_to_text(report)}\ndegrees enumerated up to power bound {bound}: "
         + ", ".join(str(d) for d in enumerated)
     )
-    return "\n".join(lines), 0
 
 
 # -- argument wiring ----------------------------------------------------------
 
 
-def _add_common(sub, torsion=True, fmt=True):
+def _add_common(sub, handler, to_json, to_text, torsion=True):
+    """Add the common options and the subcommand's compute step and renderers."""
     if torsion:
         sub.add_argument(
             "--torsion",
@@ -303,11 +317,11 @@ def _add_common(sub, torsion=True, fmt=True):
             default=0,
             help="order of L in Pic^0 (0 = non-torsion, default)",
         )
-    if fmt:
-        sub.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
+    sub.add_argument(
+        "--format", choices=("text", "json"), default="text", help="output format"
+    )
     sub.add_argument("--out", metavar="FILE", help="also write the report to FILE")
+    sub.set_defaults(handler=handler, to_json=to_json, to_text=to_text)
 
 
 def build_parser() -> _Parser:
@@ -319,48 +333,40 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("tensor", help="decompose a bundle expression")
     p.add_argument("expression")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_tensor)
+    _add_common(p, _cmd_tensor, _decomposition_to_json, _decomposition_to_text)
 
     p = subs.add_parser("power", help="decompose an integer tensor power of an expression")
     p.add_argument("expression")
     p.add_argument("exponent", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_power)
+    _add_common(p, _cmd_power, _decomposition_to_json, _decomposition_to_text)
 
     p = subs.add_parser("sset", help="describe and enumerate S(E) for E = L*F_r")
     p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--bound", type=_positive_int, default=6, help="power bound for enumeration")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_sset)
+    _add_common(p, _cmd_sset, _sset_to_json, _sset_to_text)
 
     p = subs.add_parser("classify", help="ring presentation, Krull dimension, group scheme")
     p.add_argument("--rank", type=_positive_int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_classify)
+    _add_common(p, _cmd_classify, report_to_json, report_to_text)
 
     p = subs.add_parser("express", help="write [F_i] as a polynomial in [F_2] or [F_3]")
     p.add_argument("--index", type=_positive_int, required=True)
     p.add_argument("--chain", choices=("even", "odd"), default="even")
-    _add_common(p, torsion=False)
-    p.set_defaults(handler=_cmd_express)
+    _add_common(p, _cmd_express, _express_to_json, _express_to_text, torsion=False)
 
     p = subs.add_parser("verify", help="cross-check the tensor rule against the character oracle")
     p.add_argument("--rmax", type=_positive_int, default=6)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify)
+    _add_common(p, _cmd_verify, _verify_to_json, _verify_to_text)
 
     p = subs.add_parser("grid", help="dimension correspondence over a (rank, torsion) grid")
     p.add_argument("--rmax", type=_positive_int, default=10)
     p.add_argument("--nmax", type=_nonneg_int, default=12)
-    _add_common(p, torsion=False)
-    p.set_defaults(handler=_cmd_grid)
+    _add_common(p, _cmd_grid, _grid_to_json, _grid_to_text, torsion=False)
 
     p = subs.add_parser("p1", help="classification of a sum of line bundles on P^1")
     p.add_argument("degrees", type=int, nargs="+")
     p.add_argument("--bound", type=_positive_int, default=6)
-    _add_common(p, torsion=False)
-    p.set_defaults(handler=_cmd_p1)
+    _add_common(p, _cmd_p1, _p1_to_json, _p1_to_text, torsion=False)
 
     return parser
 
@@ -373,7 +379,11 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     try:
-        output, status = args.handler(args)
+        result, status = args.handler(args)
+        if args.format == "json":
+            output = json.dumps(args.to_json(result), indent=2)
+        else:
+            output = args.to_text(result)
     except (_UsageError, ExpressionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -51,11 +51,17 @@ def _tokenize(src: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < size and src[i].isdigit():
+            while i < size and src[i].isdecimal():
                 i += 1
-            tokens.append(Token("int", int(src[start:i]), start))
+            try:
+                value = int(src[start:i])
+            except ValueError:  # more digits than int() may convert
+                raise ExpressionError(
+                    f"integer literal of {i - start} digits is too long", start
+                ) from None
+            tokens.append(Token("int", value, start))
             continue
         if ch in "OLF":
             tokens.append(Token(ch, None, i))

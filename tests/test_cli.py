@@ -1,5 +1,7 @@
-"""CLI contract: subcommands, exit codes, formats, and the JSON schema."""
+"""CLI contract: subcommands, exit codes, formats, and the JSON schemas."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,31 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atiyah import TorsionContext, evaluate_expression
 from atiyah.cli import main
-from atiyah.schema import REPORT_SCHEMA
+from atiyah.schema import (
+    DECOMPOSITION_SCHEMA,
+    EXPRESS_SCHEMA,
+    GRID_SCHEMA,
+    REPORT_SCHEMA,
+    SSET_SCHEMA,
+    VERIFY_SCHEMA,
+)
+
+# The schema of each subcommand's --format json payload.
+SCHEMAS = {
+    "tensor": DECOMPOSITION_SCHEMA,
+    "power": DECOMPOSITION_SCHEMA,
+    "sset": SSET_SCHEMA,
+    "classify": REPORT_SCHEMA,
+    "express": EXPRESS_SCHEMA,
+    "verify": VERIFY_SCHEMA,
+    "grid": GRID_SCHEMA,
+    "p1": REPORT_SCHEMA,
+}
 
 
 def run(capsys, *argv):
@@ -124,11 +147,89 @@ def test_p1_subcommand(capsys):
     status, out, _ = run(capsys, "p1", "2", "4")
     assert status == 0
     assert "gcd of degrees: 2" in out
+    listed = out.splitlines()[-1]
+    status, out, _ = run(capsys, "p1", "2", "4", "--format", "json")
+    assert status == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["bound"] == 6
+    assert listed == "degrees enumerated up to power bound 6: " + ", ".join(
+        str(d) for d in payload["enumerated"]
+    )
     status, out, _ = run(capsys, "p1", "0", "--format", "json")
     payload = json.loads(out)
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload["input"] == {"degrees": [0]}
     assert payload["krull_dim"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tensor", "L*F_2 + 2 O", "--torsion", "3"),
+        ("tensor", "0"),
+        ("power", "L^-1*F_2 + O", "-3"),
+        ("sset", "--rank", "3", "--torsion", "4", "--bound", "3"),
+        ("classify", "--rank", "2", "--torsion", "6"),
+        ("express", "--index", "7", "--chain", "odd"),
+        ("verify", "--rmax", "3", "--torsion", "2"),
+        ("grid", "--rmax", "2", "--nmax", "3"),
+        ("p1", "-2", "3", "--bound", "3"),
+    ],
+)
+def test_json_payload_validates(capsys, argv):
+    status, out, _ = run(capsys, *argv, "--format", "json")
+    assert status == 0
+    jsonschema.validate(json.loads(out), SCHEMAS[argv[0]])
+
+
+# Small arguments, so that no call runs long: each subcommand's required
+# arguments, then options with values and junk.  No -h/--help (argparse
+# exits on it) and no --out (it writes a file).
+_SMALL = st.integers(min_value=-1, max_value=9).map(str)
+_EXPRESSIONS = st.one_of(
+    st.sampled_from(["F_2", "L*F_3 + O", "(L^-1*F_2 + O)^3", "2 F_2 + F_4", "0", "O^-2"]),
+    st.text(alphabet="OLF_0123()+*^- x²", max_size=8),
+)
+_REQUIRED = {
+    "tensor": st.tuples(_EXPRESSIONS),
+    "power": st.tuples(_EXPRESSIONS, _SMALL),
+    "sset": st.tuples(st.just("--rank"), _SMALL),
+    "classify": st.tuples(st.just("--rank"), _SMALL),
+    "express": st.tuples(st.just("--index"), _SMALL),
+    "verify": st.just(()),
+    "grid": st.just(()),
+    "p1": st.lists(_SMALL, min_size=1, max_size=3).map(tuple),
+    "frobnicate": st.just(()),
+}
+_VALUES = st.one_of(
+    _SMALL,
+    _EXPRESSIONS,
+    st.sampled_from(["even", "odd", "text", "json", "yaml", "--bogus", "", "-", "1e3"]),
+)
+_OPTIONS = st.sampled_from(
+    ["--torsion", "--rank", "--bound", "--rmax", "--nmax", "--index", "--chain", "--format"]
+)
+_EXTRAS = st.lists(
+    st.one_of(st.tuples(_OPTIONS, _SMALL), st.tuples(_OPTIONS, _VALUES), st.tuples(_VALUES)),
+    max_size=2,
+)
+
+
+@given(st.sampled_from(sorted(_REQUIRED)), st.data(), st.sampled_from(["text", "json"]))
+@settings(max_examples=300, deadline=None)
+def test_exit_code_contract_fuzzed(command, data, fmt):
+    argv = [command, *data.draw(_REQUIRED[command])]
+    for extra in data.draw(_EXTRAS):
+        argv.extend(extra)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main([*argv, "--format", fmt])
+    assert status in (0, 1, 2)
+    if status:
+        assert err.getvalue().startswith(("error: ", "usage error: "))
+    elif fmt == "json":
+        jsonschema.validate(json.loads(out.getvalue()), SCHEMAS[command])
 
 
 def test_usage_error_exit_code(capsys):
@@ -138,6 +239,10 @@ def test_usage_error_exit_code(capsys):
     status, _, err = run(capsys, "tensor", "F_2 +* F_3")
     assert status == 1
     assert "error" in err
+    # More digits than int() converts: still a usage error with a position.
+    status, _, err = run(capsys, "tensor", "F_" + "9" * 5000)
+    assert status == 1
+    assert err.startswith("error: integer literal of 5000 digits is too long (at position 2)")
 
 
 def test_computation_error_exit_code(capsys):
@@ -169,6 +274,8 @@ def test_oversized_power_exits_two_promptly(argv):
         ("sset", "--rank", "1000000", "--bound", "2"),
         ("tensor", "F_100000000*F_100000000"),
         ("p1", "0", "1", "7", "--bound", "100000"),
+        ("p1", "0", "1", "7", "--bound", "100000", "--format", "json"),
+        ("express", "--index", "1000000"),
     ],
 )
 def test_oversized_work_exits_two_promptly(argv):
@@ -249,6 +356,11 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
     status, out, _ = run(capsys, "verify", "--rmax", "2")
     assert status == 2
     assert "oracle agreement 0/3 pairs" in out
+    status, out, _ = run(capsys, "verify", "--rmax", "2", "--format", "json")
+    assert status == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, VERIFY_SCHEMA)
+    assert (payload["ok"], len(payload["failures"])) == (False, 3)
 
 
 def test_out_to_unwritable_path_is_a_computation_error(capsys, tmp_path):

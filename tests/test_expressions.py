@@ -104,6 +104,8 @@ def test_trailing_garbage():
 def test_unknown_character():
     with pytest.raises(ExpressionError):
         parse_expression("F_2 ? O")
+    with pytest.raises(ExpressionError, match="unexpected character"):
+        parse_expression("F_²")  # a digit, but not a decimal one
 
 
 def test_missing_f_index():
