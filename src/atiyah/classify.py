@@ -19,6 +19,7 @@ governed by the gcd of the degrees) are in :func:`p1_classify`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -111,13 +112,13 @@ class GroupScheme:
 class IndexFamily:
     """One closed-form family of members L^e ⊗ F_j inside an S-set.
 
-    Torsion contexts constrain exponents by explicit residue lists; the
-    non-torsion context constrains them by minimum absolute value and parity,
-    with the index coupled to the exponent by j <= index_slope·|e| + 1.
+    Torsion contexts constrain exponents by a range of residues; the
+    non-torsion context constrains them by minimum absolute value and parity.
+    Either may couple the index to the exponent by j <= index_slope·|e| + 1.
     """
 
     description: str
-    exponent_residues: tuple[int, ...] | None = None
+    exponent_residues: range | None = None
     min_abs_exponent: int = 0
     exponent_parity: int | None = None
     index_parity: int | None = None
@@ -125,16 +126,16 @@ class IndexFamily:
 
     def contains(self, bundle: IndecomposableBundle) -> bool:
         e, j = bundle.exponent, bundle.index
+        a = abs(e)
         if self.index_parity is not None and j % 2 != self.index_parity:
+            return False
+        if self.index_slope is not None and j > self.index_slope * a + 1:
             return False
         if self.exponent_residues is not None:
             return e in self.exponent_residues
-        a = abs(e)
         if a < self.min_abs_exponent:
             return False
         if self.exponent_parity is not None and a % 2 != self.exponent_parity:
-            return False
-        if self.index_slope is not None and j > self.index_slope * a + 1:
             return False
         return True
 
@@ -175,13 +176,19 @@ def s_set_symbolic(rank: int, torsion: int) -> SSetDescription:
                 index_slope=0,
             )
             return SSetDescription(ctx, (ctx.bundle(),), (fam,))
-        finite = tuple(ctx.bundle(i, 1) for i in range(n))
-        return SSetDescription(ctx, finite, ())
+        if n == 1:
+            return SSetDescription(ctx, (ctx.bundle(),), ())
+        fam = IndexFamily(
+            f"L^e for e in 0..{n - 1}",
+            exponent_residues=range(n),
+            index_slope=0,
+        )
+        return SSetDescription(ctx, (), (fam,))
     if n == 1:
         if rank % 2 == 0:
-            fam = IndexFamily("F_j for j >= 1", exponent_residues=(0,))
+            fam = IndexFamily("F_j for j >= 1", exponent_residues=range(1))
         else:
-            fam = IndexFamily("F_j for odd j", exponent_residues=(0,), index_parity=1)
+            fam = IndexFamily("F_j for odd j", exponent_residues=range(1), index_parity=1)
         return SSetDescription(ctx, (), (fam,))
     if n == 0:
         slope = rank - 1
@@ -214,7 +221,7 @@ def s_set_symbolic(rank: int, torsion: int) -> SSetDescription:
             )
         return SSetDescription(ctx, finite, fams)
     # Torsion order n >= 2.
-    residues = tuple(range(n))
+    residues = range(n)
     if rank % 2 == 1:
         fam = IndexFamily(
             f"L^e*F_j for e in 0..{n - 1}, j odd",
@@ -232,12 +239,12 @@ def s_set_symbolic(rank: int, torsion: int) -> SSetDescription:
     fams = (
         IndexFamily(
             f"L^e*F_j for even e in 0..{n - 2}, j odd",
-            exponent_residues=tuple(range(0, n, 2)),
+            exponent_residues=range(0, n, 2),
             index_parity=1,
         ),
         IndexFamily(
             f"L^e*F_j for odd e in 1..{n - 1}, j even",
-            exponent_residues=tuple(range(1, n, 2)),
+            exponent_residues=range(1, n, 2),
             index_parity=0,
         ),
     )
@@ -355,27 +362,6 @@ class IntegerPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __add__(self, other: IntegerPolynomial) -> IntegerPolynomial:
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return IntegerPolynomial.of(merged)
-
-    def __neg__(self) -> IntegerPolynomial:
-        return IntegerPolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: IntegerPolynomial) -> IntegerPolynomial:
-        return self + (-other)
-
-    def shifted(self) -> IntegerPolynomial:
-        """Multiply by the variable."""
-        if not self.coefficients:
-            return self
-        return IntegerPolynomial((0,) + self.coefficients)
-
     def evaluate(self, x: KRingElement) -> KRingElement:
         """Horner evaluation inside the K-ring."""
         acc = KRingElement.zero(x.context)
@@ -427,25 +413,23 @@ def express_in_generator(index: int, chain: str = "even") -> IntegerPolynomial:
             f"writing [F_{index}] would take about {index * index} coefficients, "
             f"above the limit of {MAX_EXPRESS_COEFFICIENTS}"
         )
-    one = IntegerPolynomial((1,))
-    x = IntegerPolynomial((0, 1))
     if chain == "even":
-        if index == 1:
-            return one
-        prev, cur = one, x
-        for _ in range(index - 2):
-            prev, cur = cur, cur.shifted() - prev
-        return cur
-    if chain == "odd":
+        steps = index - 2
+    elif chain == "odd":
         if index % 2 == 0:
             raise ValueError("the [F_3] chain only reaches odd indices")
-        if index == 1:
-            return one
-        prev, cur = one, x
-        for _ in range((index - 3) // 2):
-            prev, cur = cur, (cur.shifted() - cur) - prev
-        return cur
-    raise ValueError("chain must be 'even' or 'odd'")
+        steps = (index - 3) // 2
+    else:
+        raise ValueError("chain must be 'even' or 'odd'")
+    # Coefficient lists, ascending: p_1 = 1 and p_2 = x, or q_1 = 1 and q_3 = x.
+    prev, cur = [1], [0, 1]
+    for _ in range(steps):
+        nxt = [0, *cur]
+        if chain == "odd":
+            nxt[: len(cur)] = map(operator.sub, nxt, cur)
+        nxt[: len(prev)] = map(operator.sub, nxt, prev)
+        prev, cur = cur, nxt
+    return IntegerPolynomial.of(prev if index == 1 else cur)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Classification: case table, S-sets, generator polynomials, P^1 analogue."""
 
 import math
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -178,6 +179,26 @@ def test_s_set_symbolic_nontorsion_families():
     assert not desc.contains(NT.bundle(2, 9))      # above the (r-1)|e|+1 cap
 
 
+def test_s_set_symbolic_rank_one_torsion_is_one_family():
+    for n in (2, 3, 7):
+        desc = s_set_symbolic(1, n)
+        ctx = TorsionContext(n)
+        assert desc.finite_part == ()
+        assert desc.describe() == [f"L^e for e in 0..{n - 1}"]
+        assert all(desc.contains(ctx.line(e)) for e in range(n))
+        assert not any(desc.contains(ctx.bundle(e, j)) for e in range(n) for j in (2, 3, 4))
+
+
+def test_s_set_symbolic_is_constant_size_in_the_torsion():
+    n = 10**9
+    desc = s_set_symbolic(1, n)
+    assert desc.families[0].exponent_residues == range(n)
+    assert desc.contains(TorsionContext(n).line(n - 1))
+    for fam in s_set_symbolic(10**9, n).families:
+        assert isinstance(fam.exponent_residues, range)
+    assert classify(1, n).krull_dim == 0
+
+
 def test_s_set_enumerate_examples():
     ctx1 = TorsionContext(1)
     assert s_set_enumerate(2, 1, 3) == {
@@ -290,6 +311,32 @@ def test_odd_chain_values():
     assert express_in_generator(1, "odd") == IntegerPolynomial.of([1])
     assert express_in_generator(3, "odd") == IntegerPolynomial.of([0, 1])
     assert express_in_generator(5, "odd") == IntegerPolynomial.of([-1, -1, 1])
+
+
+def test_even_chain_closed_form():
+    # p_i = Σ_k (-1)^k C(i-1-k, k) x^(i-1-2k), the Chebyshev polynomial U_(i-1)(x/2).
+    for i in range(1, 301):
+        expected = [0] * i
+        for k in range((i - 1) // 2 + 1):
+            expected[i - 1 - 2 * k] = (-1) ** k * math.comb(i - 1 - k, k)
+        assert express_in_generator(i, "even").coefficients == tuple(expected), i
+
+
+def _q_int(n, q):
+    """[n]_q = q^(n-1) + q^(n-3) + ... + q^(1-n)."""
+    return sum(q ** (n - 1 - 2 * k) for k in range(n))
+
+
+def _at(poly, x):
+    return sum(c * x**d for d, c in enumerate(poly.coefficients))
+
+
+def test_odd_chain_evaluations():
+    q = Fraction(3, 2)
+    for i in range(1, 301, 2):
+        poly = express_in_generator(i, "odd")
+        assert _at(poly, 3) == i
+        assert _at(poly, _q_int(3, q)) == _q_int(i, q)
 
 
 def test_odd_chain_rejects_even_index():

@@ -245,6 +245,23 @@ def test_usage_error_exit_code(capsys):
     assert err.startswith("error: integer literal of 5000 digits is too long (at position 2)")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--rank", "x"),
+        ("grid", "--nmax", "x"),
+        ("sset", "--rank", "2", "--bound", "1.5"),
+    ],
+)
+def test_non_integer_option_is_a_plain_usage_error(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("usage error: argument ")
+    assert "invalid integer value" in err
+    assert "_positive_int" not in err and "_nonneg_int" not in err
+
+
 def test_computation_error_exit_code(capsys):
     status, _, err = run(capsys, "power", "0", "2")
     assert status == 2
@@ -282,6 +299,20 @@ def test_oversized_work_exits_two_promptly(argv):
     assert "limit" in assert_exits_two_promptly(argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--rank", "1000000000", "--torsion", "1000000000"),
+        ("classify", "--rank", "1", "--torsion", "1000000000"),
+        ("grid", "--rmax", "1", "--nmax", "3000"),
+    ],
+)
+def test_large_torsion_orders_run_promptly(argv):
+    result = run_cli(argv)
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
 def cli_env():
     """The environment for a CLI subprocess that imports this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -290,13 +321,18 @@ def cli_env():
     return env
 
 
-def assert_exits_two_promptly(argv):
-    """Run the CLI on argv; check it exits 2 with a message; return stderr."""
+def run_cli(argv):
+    """Run the CLI on argv in a fresh process, cut after 2 s."""
     # A fresh process, so that an unbounded computation is cut by the timeout.
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "atiyah.cli", *argv],
         capture_output=True, text=True, env=cli_env(), timeout=2,
     )
+
+
+def assert_exits_two_promptly(argv):
+    """Run the CLI on argv; check it exits 2 with a message; return stderr."""
+    result = run_cli(argv)
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
@@ -378,3 +414,76 @@ def test_deep_nesting_is_a_usage_error(capsys):
     assert status == 1
     assert out == ""
     assert err.startswith("error: parentheses nested more than")
+
+
+# -- one parser per process -----------------------------------------------------------
+
+# Valid calls, usage errors (exit 1) and computation errors (exit 2), mixed.
+_SEQUENCE = [
+    ("classify", "--rank", "2", "--torsion", "4"),
+    ("classify", "--rank", "x"),
+    ("tensor", "L*F_2 + O", "--torsion", "3", "--format", "json"),
+    ("power", "0", "2"),
+    ("frobnicate",),
+    ("sset", "--rank", "1", "--torsion", "3", "--bound", "2"),
+    ("grid", "--nmax", "-1"),
+    ("express", "--index", "4", "--chain", "odd"),
+    ("verify", "--rmax", "100000"),
+    ("p1", "2", "4", "--format", "json"),
+    ("tensor",),
+    ("express", "--index", "9", "--chain", "odd", "--format", "json"),
+    ("tensor", "F_2 +* F_3"),
+    ("grid", "--rmax", "2", "--nmax", "2"),
+    ("sset", "--rank", "2", "--bound", "1.5", "--format", "json"),
+    ("power", "F_2", "3", "--format", "yaml"),
+    ("classify", "--rank", "3", "--torsion", "0", "--format", "json"),
+    ("--format", "json"),
+    ("p1",),
+    ("verify", "--rmax", "2", "--torsion", "2"),
+]
+
+
+def _outcomes(capsys, argvs):
+    return [run(capsys, *argv) for argv in argvs]
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
+    import atiyah.cli as cli_module
+
+    reused = _outcomes(capsys, _SEQUENCE * 2)
+    assert {status for status, _, _ in reused} == {0, 1, 2}
+    # The same calls, each with a parser built from scratch.
+    monkeypatch.setattr(cli_module, "build_parser", cli_module._shared_parser.__wrapped__)
+    assert _outcomes(capsys, _SEQUENCE * 2) == reused
+
+
+def test_rebinding_parse_args_does_not_stack(capsys, monkeypatch):
+    # A tracer rebinds parse_args on each parser that build_parser returns;
+    # were that parser shared, every call would wrap the last wrapper again.
+    import atiyah.cli as cli_module
+
+    untraced = run(capsys, "classify", "--rank", "2")
+    build_parser = cli_module.build_parser
+
+    def traced_build_parser():
+        parser = build_parser()
+        inner = parser.parse_args
+        parser.parse_args = lambda *args, **kwargs: inner(*args, **kwargs)
+        return parser
+
+    monkeypatch.setattr(cli_module, "build_parser", traced_build_parser)
+    for _ in range(2000):
+        assert main(["classify", "--rank", "2", "--torsion", "x"]) == 1
+    assert capsys.readouterr().err.count("usage error") == 2000
+    assert run(capsys, "classify", "--rank", "2") == untraced
+    monkeypatch.undo()
+    assert run(capsys, "classify", "--rank", "2") == untraced
+
+
+def test_rebound_renderer_is_called(capsys, monkeypatch):
+    # The parser outlives one call, but each call looks its renderers up anew.
+    import atiyah.cli as cli_module
+
+    run(capsys, "classify", "--rank", "2")
+    monkeypatch.setattr(cli_module, "report_to_text", lambda report: f"rank {report.rank}")
+    assert run(capsys, "classify", "--rank", "2") == (0, "rank 2\n", "")
