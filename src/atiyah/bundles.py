@@ -14,7 +14,10 @@ powers).
 
 A :class:`TorsionContext` fixes the multiplicative order of L once per
 computation; exponents are canonicalized at construction so that equality of
-sums is plain structural equality.  :class:`KRingElement` holds signed
+sums is plain structural equality.  A class L^e ⊗ F_r is an
+:class:`IndecomposableBundle`, a tuple ``(r, e)``: every dict of terms hashes
+and compares its keys as tuples, and sorting classes gives the order in which
+sums print.  :class:`KRingElement` holds signed
 Z-linear combinations of classes; :class:`BundleSum` is its non-negative view,
 the actual direct sums.  Both multiply through one kernel, :func:`_cg_product`.
 Tensor powers of bundle sums mostly take another route, a recurrence on
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class ContextMismatchError(ValueError):
@@ -72,37 +76,47 @@ class TorsionContext:
         return f"L of order {self.order}"
 
 
-@dataclass(frozen=True)
-class IndecomposableBundle:
-    """The isomorphism class L^exponent ⊗ F_index.
+class IndecomposableBundle(tuple):
+    """The isomorphism class L^exponent ⊗ F_index, stored as the pair
+    ``(index, exponent)``.
 
     The rank equals ``index`` and the degree is zero.  ``index == 1`` is a
     pure line-bundle class; ``exponent == 0 and index == 1`` is O itself.
+    Being a tuple, a class hashes, compares and sorts as that pair: sorting
+    orders by index, then exponent, as sums print, and a class equals the
+    plain pair ``(index, exponent)``.
     """
 
-    exponent: int
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index < 1:
+    def __new__(cls, exponent: int, index: int) -> IndecomposableBundle:
+        if index < 1:
             raise ValueError("F index must be >= 1")
+        return tuple.__new__(cls, (index, exponent))
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.index, self.exponent)
+    index = property(itemgetter(0), doc="Rank of the class, r in F_r.")
+    exponent = property(itemgetter(1), doc="Line exponent, e in L^e.")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self[1], self[0]
+
+    def __repr__(self) -> str:
+        return f"IndecomposableBundle(exponent={self[1]!r}, index={self[0]!r})"
 
     def __str__(self) -> str:
-        if self.index == 1:
-            if self.exponent == 0:
+        index, exponent = self
+        if index == 1:
+            if exponent == 0:
                 return "O"
-            if self.exponent == 1:
+            if exponent == 1:
                 return "L"
-            return f"L^{self.exponent}"
-        fr = f"F_{self.index}"
-        if self.exponent == 0:
+            return f"L^{exponent}"
+        fr = f"F_{index}"
+        if exponent == 0:
             return fr
-        if self.exponent == 1:
+        if exponent == 1:
             return f"L*{fr}"
-        return f"L^{self.exponent}*{fr}"
+        return f"L^{exponent}*{fr}"
 
 
 def sym_power_f2(k: int) -> IndecomposableBundle:
@@ -166,7 +180,7 @@ def dual(context: TorsionContext, a: IndecomposableBundle) -> IndecomposableBund
 
 # Most multiplicity words (64 bits) that one product, or the repeated products
 # of a tensor power, may write, by :func:`_product_words` or :func:`_loop_words`,
-# and most word operations of a power by ``characters._recurrence_words``.
+# and most word operations of a power by ``characters._recurrence_plan``.
 # F_1000000^2 writes 10^6 terms of one word each in about 3 s on one core of
 # a shared 2-vCPU Xeon.
 MAX_LOOP_WORDS = 1 << 20
@@ -254,7 +268,7 @@ class KRingElement:
         return self.terms.get(bundle, 0)
 
     def support(self) -> tuple[IndecomposableBundle, ...]:
-        return tuple(sorted(self.terms, key=IndecomposableBundle.sort_key))
+        return tuple(sorted(self.terms))
 
     def rank(self) -> int:
         return sum(m * b.index for b, m in self.terms.items())
@@ -376,9 +390,12 @@ class KRingElement:
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def _loop_words(base: BundleSum, power: int, cap: int) -> int:
+def _loop_words(
+    base: BundleSum, power: int, cap: int, spread: tuple[int, int, int, int, int]
+) -> int:
     """Upper estimate of the multiplicity words that power - 1 products by
-    ``base`` write, cut short once it passes ``cap``.
+    ``base`` write, cut short once it passes ``cap``; ``spread`` is
+    ``_spread(base)``.
 
     The product of the j-th power by ``base`` writes at most
     :func:`_product_words` of N_j terms against the index sum of ``base``.
@@ -392,7 +409,7 @@ def _loop_words(base: BundleSum, power: int, cap: int) -> int:
     if power - 1 > cap:
         return power - 1  # every product writes at least one word
     n = base.context.order
-    _, span, d, top, step = _spread(base)
+    _, span, d, top, step = spread
     index_sum = sum(b.index for b in base.terms)
     bits = math.log2(base.rank())
     words = _product_words(len(base.terms), index_sum, int(2 * bits))
@@ -444,12 +461,13 @@ class BundleSum(KRingElement):
         terms alone before any arithmetic: repeated products
         (``KRingElement.__pow__``) when :func:`_loop_words` finds they write
         no more words than the Miller recurrence on the character takes word
-        operations (``characters._recurrence_words``), and at most
-        :data:`MAX_LOOP_WORDS`; else the recurrence
-        (:func:`atiyah.characters.character_power`), which raises
-        :class:`atiyah.characters.PowerTooLargeError` above that limit too.
-        It costs every monomial of the base at every q-step, so squares, high
-        indices and line exponents far apart take repeated products.
+        operations (``characters._recurrence_plan``), and at most
+        :data:`MAX_LOOP_WORDS`; else the recurrence of
+        :func:`atiyah.characters.character_power` on the same plan, which
+        raises :class:`atiyah.characters.PowerTooLargeError` above that limit
+        too.  It costs every monomial of the base at every q-step, so
+        squares, high indices and line exponents far apart take repeated
+        products.
         """
         if not self.terms:
             raise ValueError("cannot take tensor powers of the zero sum")
@@ -461,10 +479,11 @@ class BundleSum(KRingElement):
             return base
         from . import characters
 
-        cap = min(characters._recurrence_words(base, power, _spread(base))[0], MAX_LOOP_WORDS)
-        if _loop_words(base, power, cap) <= cap:
+        plan = words, _, spread = characters._recurrence_plan(base, power)
+        cap = min(words, MAX_LOOP_WORDS)
+        if _loop_words(base, power, cap, spread) <= cap:
             return KRingElement.__pow__(base, power)
-        return BundleSum(self.context, characters.character_power(base, power))
+        return BundleSum(self.context, characters._recurrence_power(base, power, plan))
 
     __pow__ = tensor_power
 

@@ -326,14 +326,17 @@ def decompose_character(c: BivariateCharacter) -> BundleSum:
     return BundleSum(c.context, terms)
 
 
-def _recurrence_words(x: BundleSum, power: int, spread: tuple[int, ...]) -> tuple[int, int]:
-    """(Upper estimate of the word operations, slot width in bytes) of
-    :func:`character_power`: each q-step multiplies every monomial of the base
-    outside the lowest q-row by an earlier row of power·span + 1 slots of at
-    least a word, and divides by that row.  That bounds the rest of the work."""
+def _recurrence_plan(x: BundleSum, power: int) -> tuple[int, int, tuple[int, ...]]:
+    """(Upper estimate of the word operations, slot width in bytes,
+    ``_spread(x)``) of the recurrence for x^power: each q-step multiplies every
+    monomial of the base outside the lowest q-row by an earlier row of
+    power·span + 1 slots of at least a word, and divides by that row.  That
+    bounds the rest of the work.  ``BundleSum.tensor_power`` plans with it and
+    hands it to :func:`_recurrence_power`, so nothing is computed twice."""
+    spread = _spread(x)
     rank = x.rank()
     if rank > 1 and power >> 6 > MAX_LOOP_WORDS:
-        return power >> 6, 0  # every slot holds rank^power >= 2^power
+        return power >> 6, 0, spread  # every slot holds rank^power >= 2^power
     # rank^power has floor(power·log2 rank) + 1 bits; one more absorbs rounding.
     width = _slot_width(int(power * math.log2(rank)) + 2) if rank > 1 else 1
     t_lo, span, _, top, step = spread
@@ -342,7 +345,7 @@ def _recurrence_words(x: BundleSum, power: int, spread: tuple[int, ...]) -> tupl
     divisor = (max(lowest) - min(lowest)) * per_slot + 1
     monomials = sum(b.index for b in x.terms) - len(lowest)
     steps = power * (2 * top // step) // 2 + 1
-    return steps * (monomials + divisor) * (power * span + 1) * per_slot, width
+    return steps * (monomials + divisor) * (power * span + 1) * per_slot, width, spread
 
 
 def _miller(terms: list, a0: int, c0: int, power: int, count: int) -> list[int]:
@@ -389,10 +392,18 @@ def character_power(x: BundleSum, power: int) -> dict[IndecomposableBundle, int]
     :func:`decompose_character` is then a difference of two slots.
 
     Raises :class:`PowerTooLargeError`, before the character is built, when
-    :func:`_recurrence_words` is above ``MAX_LOOP_WORDS``.
+    :func:`_recurrence_plan` estimates more than ``MAX_LOOP_WORDS`` word
+    operations.
     """
-    spread = t_lo, span, _, top, step = _spread(x)
-    words, width = _recurrence_words(x, power, spread)
+    return _recurrence_power(x, power, _recurrence_plan(x, power))
+
+
+def _recurrence_power(
+    x: BundleSum, power: int, plan: tuple[int, int, tuple[int, ...]]
+) -> dict[IndecomposableBundle, int]:
+    """:func:`character_power` for the ``plan`` that :func:`_recurrence_plan`
+    made for x and power."""
+    words, width, (t_lo, span, _, top, step) = plan
     if words > MAX_LOOP_WORDS:
         raise PowerTooLargeError(
             f"tensor power {power} is too large: it would take more than "

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .bundles import IndecomposableBundle, TorsionContext
+from .bundles import TorsionContext
 from .characters import oracle_check
 from .classify import (
     ClassificationReport,
@@ -99,10 +99,7 @@ def _decomposition_to_text(decomposition) -> str:
 
 def _cmd_sset(args):
     symbolic = s_set_symbolic(args.rank, args.torsion)
-    enumerated = sorted(
-        s_set_enumerate(args.rank, args.torsion, args.bound),
-        key=IndecomposableBundle.sort_key,
-    )
+    enumerated = sorted(s_set_enumerate(args.rank, args.torsion, args.bound))
     return (args.rank, args.torsion, args.bound, symbolic, enumerated), 0
 
 

@@ -1,6 +1,8 @@
 """Core tensor arithmetic: frozen examples plus algebraic-law property tests."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,8 +20,9 @@ from atiyah import (
     tensor_indec,
 )
 import atiyah.characters as characters
-from atiyah.bundles import MAX_LOOP_WORDS, _loop_words
-from atiyah.characters import character_power
+from atiyah.bundles import MAX_LOOP_WORDS, _cg_product, _loop_words, _spread
+from atiyah.characters import character, character_power, decompose_character
+from atiyah.classify import s_set_enumerate, s_set_reachable
 from atiyah.expressions import evaluate_expression
 
 NT = TorsionContext(0)
@@ -82,6 +85,102 @@ def test_negative_order_rejected():
 def test_bundle_index_validated():
     with pytest.raises(ValueError):
         IndecomposableBundle(0, 0)
+
+
+# -- the class key type: an (index, exponent) pair ----------------------------
+
+def assert_canonical_keys(ctx, keys):
+    for key in keys:
+        assert type(key) is IndecomposableBundle
+        rebuilt = ctx.bundle(key.exponent, key.index)
+        assert key == rebuilt and hash(key) == hash(rebuilt)
+
+
+def test_every_construction_route_gives_equal_keys():
+    ctx = TorsionContext(4)
+    a = ctx.bundle(-1, 2)
+    for b in (
+        IndecomposableBundle(3, 2),
+        IndecomposableBundle(index=2, exponent=3),
+        IndecomposableBundle(exponent=3, index=2),
+        ctx.bundle(7, 2),
+    ):
+        assert type(b) is IndecomposableBundle
+        assert b == a and hash(b) == hash(a)
+    assert ctx.bundle(3, 3) != a and ctx.bundle(2, 2) != a
+    x = BundleSum.of(ctx, [(a, 1), (ctx.bundle(2, 3), 2), (ctx.line(1), 1)])
+    square = _cg_product(ctx, x.terms, x.terms)
+    routes = {
+        "_cg_product": square,
+        "decompose_character": decompose_character(character(x) * character(x)).terms,
+        "character_power": character_power(x, 2),
+        "tensor_power": x.tensor_power(2).terms,
+    }
+    for name, terms in routes.items():
+        assert terms == square, name
+        assert_canonical_keys(ctx, terms)
+    enumerated = s_set_enumerate(2, 4, 6)
+    assert enumerated == s_set_reachable(2, 4, 6)
+    assert a in enumerated
+    assert_canonical_keys(ctx, enumerated)
+
+
+def test_index_below_one_raises_on_every_route():
+    for build in (
+        lambda: IndecomposableBundle(0, 0),
+        lambda: IndecomposableBundle(exponent=2, index=-1),
+        lambda: NT.bundle(1, 0),
+        lambda: NT.atiyah(0),
+        lambda: TorsionContext(3).bundle(5, -2),
+    ):
+        with pytest.raises(ValueError, match="F index must be >= 1"):
+            build()
+
+
+def test_bundle_attributes_are_read_only():
+    b = NT.bundle(-2, 3)
+    assert (b.exponent, b.index) == (-2, 3)
+    for name in ("exponent", "index", "rank"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, 1)
+    assert (b.exponent, b.index) == (-2, 3)
+
+
+def test_bundle_repr_and_str():
+    assert repr(IndecomposableBundle(3, 2)) == "IndecomposableBundle(exponent=3, index=2)"
+    assert repr(NT.bundle(-1, 1)) == "IndecomposableBundle(exponent=-1, index=1)"
+    assert [str(NT.bundle(e, r)) for e, r in ((0, 1), (1, 1), (-2, 1), (0, 3), (1, 2), (5, 4))] == [
+        "O", "L", "L^-2", "F_3", "L*F_2", "L^5*F_4"
+    ]
+
+
+def test_bundles_sort_in_print_order_and_equal_plain_pairs():
+    x = sum_of(NT, (1, 0, 1), (1, 1, 2), (1, -3, 3), (1, -1, 1), (2, 0, 2), (1, 2, 1))
+    assert str(x) == "L^-1 + O + L^2 + 2 F_2 + L*F_2 + L^-3*F_3"
+    order = sorted(x.terms)
+    assert order == sorted(x.terms, key=lambda b: (b.index, b.exponent))
+    assert list(x.support()) == order
+    assert [str(b) for b in order] == ["L^-1", "O", "L^2", "F_2", "L*F_2", "L^-3*F_3"]
+    assert NT.bundle(3, 2) == (2, 3) and hash(NT.bundle(3, 2)) == hash((2, 3))
+    assert NT.bundle(3, 2) != (3, 2)
+
+
+def test_bundles_and_sums_survive_pickle_and_copy():
+    ctx = TorsionContext(6)
+    b = ctx.bundle(-1, 4)
+    x = BundleSum.of(ctx, [(b, 2**70), (ctx.line(2), 1)])
+    clones = [copy.copy(b), copy.deepcopy(b)] + [
+        pickle.loads(pickle.dumps(b, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in clones:
+        assert type(clone) is IndecomposableBundle
+        assert clone == b and hash(clone) == hash(b) and repr(clone) == repr(b)
+    sums = [copy.copy(x), copy.deepcopy(x)] + [
+        pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in sums:
+        assert type(clone) is BundleSum and clone == x and str(clone) == str(x)
+        assert_canonical_keys(ctx, clone.terms)
 
 
 # -- tensor of indecomposables ------------------------------------------------
@@ -293,7 +392,7 @@ def test_recurrence_matches_ring_power(ctx, data, big):
     x = BundleSum.of(ctx, [(ctx.bundle(e, r), k) for e, r, k in pairs])
     m = data.draw(st.integers(min_value=1, max_value=12 if big else 40))
     # Keep the reference, repeated Clebsch-Gordan products, small.
-    assume(_loop_words(x, m, 1 << 17) <= 1 << 17)
+    assume(_loop_words(x, m, 1 << 17, _spread(x)) <= 1 << 17)
     assert packed_power(x, m) == ring_power(x, m)
 
 
@@ -374,10 +473,10 @@ def test_oversized_power_rejected_up_front():
 )
 def test_tensor_power_route(monkeypatch, expression, torsion, power, route):
     packed, products = [], []
-    real_power, real_tensor = characters.character_power, BundleSum.tensor
+    real_power, real_tensor = characters._recurrence_power, BundleSum.tensor
 
-    def recording_power(x, m):
-        result = real_power(x, m)
+    def recording_power(x, m, plan):
+        result = real_power(x, m, plan)
         packed.append(m)  # only calls that return a power
         return result
 
@@ -386,7 +485,7 @@ def test_tensor_power_route(monkeypatch, expression, torsion, power, route):
         return real_tensor(x, y)
 
     x = evaluate_expression(expression, TorsionContext(torsion))
-    monkeypatch.setattr(characters, "character_power", recording_power)
+    monkeypatch.setattr(characters, "_recurrence_power", recording_power)
     monkeypatch.setattr(BundleSum, "tensor", recording_tensor)
     if route == "refused":
         with pytest.raises(PowerTooLargeError):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -216,6 +217,12 @@ _EXTRAS = st.lists(
 )
 
 
+# Every fuzzed call is held to this by the CLI's up-front size limits, not by
+# the test; the slowest seen takes about 30 ms (`tensor F_9999^2`).  The same
+# 2 s cuts the subprocess runs below.
+MAX_CALL_SECONDS = 2.0
+
+
 @given(st.sampled_from(sorted(_REQUIRED)), st.data(), st.sampled_from(["text", "json"]))
 @settings(max_examples=300, deadline=None)
 def test_exit_code_contract_fuzzed(command, data, fmt):
@@ -223,8 +230,10 @@ def test_exit_code_contract_fuzzed(command, data, fmt):
     for extra in data.draw(_EXTRAS):
         argv.extend(extra)
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main([*argv, "--format", fmt])
+    assert time.perf_counter() - start < MAX_CALL_SECONDS, argv
     assert status in (0, 1, 2)
     if status:
         assert err.getvalue().startswith(("error: ", "usage error: "))
@@ -322,11 +331,11 @@ def cli_env():
 
 
 def run_cli(argv):
-    """Run the CLI on argv in a fresh process, cut after 2 s."""
+    """Run the CLI on argv in a fresh process, cut after MAX_CALL_SECONDS."""
     # A fresh process, so that an unbounded computation is cut by the timeout.
     return subprocess.run(
         [sys.executable, "-m", "atiyah.cli", *argv],
-        capture_output=True, text=True, env=cli_env(), timeout=2,
+        capture_output=True, text=True, env=cli_env(), timeout=MAX_CALL_SECONDS,
     )
 
 
@@ -339,11 +348,9 @@ def assert_exits_two_promptly(argv):
     return result.stderr
 
 
-def test_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
-    # About 250 kB of output, more than a pipe holds, so the CLI is still
-    # writing when the reader closes the pipe, as in `atiyah sset ... | head`.
-    out = tmp_path / "sset.txt"
-    argv = ["sset", "--rank", "2", "--bound", "200", "--out", str(out)]
+def read_head_then_close(argv):
+    """Run the CLI on argv, read 100 bytes of stdout and close the pipe, as
+    `atiyah ... | head -c 100` does; return (status, the bytes, stderr)."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "atiyah.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
@@ -353,9 +360,35 @@ def test_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
     status = proc.wait(timeout=30)
     err = proc.stderr.read().decode()
     proc.stderr.close()
+    return status, head, err
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
+    # About 250 kB of output, more than a pipe holds, so the CLI is still
+    # writing when the reader closes the pipe.
+    out = tmp_path / "sset.txt"
+    status, head, err = read_head_then_close(
+        ["sset", "--rank", "2", "--bound", "200", "--out", str(out)]
+    )
     assert status == 0
     assert "Traceback" not in err and "Exception ignored" not in err
     assert out.read_text().startswith(head.decode())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 0.4 MB, 0.4 MB and 4.7 MB of output, each more than a pipe holds.
+        ("sset", "--rank", "2", "--bound", "200", "--format", "json"),
+        ("power", "F_2", "2000"),
+        ("grid", "--rmax", "200", "--nmax", "200", "--format", "json"),
+    ],
+)
+def test_closed_pipe_is_not_an_error(argv):
+    status, head, err = read_head_then_close(argv)
+    assert status == 0
+    assert len(head) == 100
+    assert "Traceback" not in err
 
 
 def test_express_chain_mismatch_is_usage_error(capsys):
