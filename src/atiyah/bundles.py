@@ -100,6 +100,13 @@ class IndecomposableBundle(tuple):
     def __getnewargs__(self) -> tuple[int, int]:
         return self[1], self[0]
 
+    def __add__(self, other):
+        # A class is not a sequence to concatenate or repeat: sums and
+        # multiples are BundleSums, so + and * raise TypeError.
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
+
     def __repr__(self) -> str:
         return f"IndecomposableBundle(exponent={self[1]!r}, index={self[0]!r})"
 

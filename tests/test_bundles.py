@@ -165,6 +165,14 @@ def test_bundles_sort_in_print_order_and_equal_plain_pairs():
     assert NT.bundle(3, 2) != (3, 2)
 
 
+def test_bundles_do_not_concatenate_as_tuples():
+    a, b = NT.line(1), NT.atiyah(2)
+    for combine in (lambda: a + b, lambda: a + (2, 0), lambda: a * 2, lambda: 2 * a):
+        with pytest.raises(TypeError):
+            combine()
+    assert BundleSum.single(NT, a) + BundleSum.single(NT, b) == sum_of(NT, (1, 1, 1), (1, 0, 2))
+
+
 def test_bundles_and_sums_survive_pickle_and_copy():
     ctx = TorsionContext(6)
     b = ctx.bundle(-1, 4)
