@@ -107,6 +107,14 @@ class IndecomposableBundle(tuple):
 
     __mul__ = __rmul__ = __add__
 
+    def __radd__(self, other):
+        # A tuple on the left would concatenate once this returned
+        # NotImplemented, so refuse here.
+        raise TypeError(
+            f"unsupported operand type(s) for +: {type(other).__name__!r} and "
+            f"{type(self).__name__!r}"
+        )
+
     def __repr__(self) -> str:
         return f"IndecomposableBundle(exponent={self[1]!r}, index={self[0]!r})"
 
@@ -259,10 +267,6 @@ class KRingElement:
     def unit(cls, context: TorsionContext) -> KRingElement:
         """The class of O, the tensor unit."""
         return cls(context, {context.bundle(): 1})
-
-    # Ring-language names for the same constructors.
-    one = unit
-    basis = single
 
     @staticmethod
     def from_sum(x: KRingElement) -> KRingElement:

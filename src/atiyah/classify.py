@@ -7,13 +7,17 @@ For each pair (rank r, torsion order n of L) this module produces:
   (the tensor rule applied to supports) and an independent structure-law
   prediction of what each power contributes;
 * the presentation of R(E), the Q-subalgebra of K(X) ⊗ Q generated by S(E),
-  as one of a fixed family of polynomial / Laurent / cyclotomic-quotient
-  tensor factors, with its Krull dimension;
+  with its Krull dimension;
 * the minimal group scheme G such that E trivializes on a principal
   G-bundle, so that dim R(E) = dim G can be checked cell by cell.
 
+Both are composed in one place, :func:`_compose`, from a line factor set by
+the order of the line bundles and a unipotent factor (Q[y] and Ga) present
+exactly when some F_r with r >= 2 occurs.
+
 The analogous rank-one and rank-two statements over P^1 (where everything is
-governed by the gcd of the degrees) are in :func:`p1_classify`.
+governed by the gcd of the degrees) are in :func:`p1_classify`, through the
+same composition.
 """
 
 from __future__ import annotations
@@ -32,22 +36,28 @@ from .bundles import (
 
 
 class PresentationKind(str, Enum):
-    POINT = "point"                      # Q
-    CYCLOTOMIC = "cyclotomic"            # Q[x]/(x^m - 1)
-    POLY = "poly"                        # Q[x]
-    LAURENT = "laurent"                  # Q[x, x^-1]
-    LAURENT_POLY = "laurent_poly"        # Q[x, x^-1] ⊗ Q[y]
-    CYCLOTOMIC_POLY = "cyclotomic_poly"  # Q[x]/(x^m - 1) ⊗ Q[y]
+    """R(E) up to its modulus: a line factor in x (none, Laurent or
+    cyclotomic), tensored with Q[y] when there is a unipotent factor.
+
+    Each member carries those two facts as ``line`` and ``unipotent``.
+    """
+
+    POINT = "point", None, False                               # Q
+    CYCLOTOMIC = "cyclotomic", "cyclotomic", False             # Q[x]/(x^m - 1)
+    POLY = "poly", None, True                                  # Q[x]
+    LAURENT = "laurent", "laurent", False                      # Q[x, x^-1]
+    LAURENT_POLY = "laurent_poly", "laurent", True             # Q[x, x^-1] ⊗ Q[y]
+    CYCLOTOMIC_POLY = "cyclotomic_poly", "cyclotomic", True    # Q[x]/(x^m - 1) ⊗ Q[y]
+
+    def __new__(cls, value: str, line: str | None, unipotent: bool):
+        kind = str.__new__(cls, value)
+        kind._value_ = value
+        kind.line = line
+        kind.unipotent = unipotent
+        return kind
 
 
-_KRULL_DIM = {
-    PresentationKind.POINT: 0,
-    PresentationKind.CYCLOTOMIC: 0,
-    PresentationKind.POLY: 1,
-    PresentationKind.LAURENT: 1,
-    PresentationKind.LAURENT_POLY: 2,
-    PresentationKind.CYCLOTOMIC_POLY: 1,
-}
+_KINDS = {(kind.line, kind.unipotent): kind for kind in PresentationKind}
 
 
 @dataclass(frozen=True)
@@ -59,33 +69,30 @@ class RingPresentation:
     generators: tuple[str, ...] = ()
 
     def __post_init__(self):
-        cyclotomic = self.kind in (
-            PresentationKind.CYCLOTOMIC,
-            PresentationKind.CYCLOTOMIC_POLY,
-        )
+        cyclotomic = self.kind.line == "cyclotomic"
         if cyclotomic and (self.modulus is None or self.modulus < 1):
             raise ValueError("cyclotomic modulus must be >= 1")
         if not cyclotomic and self.modulus is not None:
             raise ValueError("modulus only applies to cyclotomic kinds")
 
     def __str__(self) -> str:
-        k = self.kind
-        if k is PresentationKind.POINT:
-            return "Q"
-        if k is PresentationKind.CYCLOTOMIC:
-            return f"Q[x]/(x^{self.modulus} - 1)"
-        if k is PresentationKind.POLY:
-            return "Q[x]"
-        if k is PresentationKind.LAURENT:
-            return "Q[x,x^-1]"
-        if k is PresentationKind.LAURENT_POLY:
-            return "Q[x,x^-1] ⊗ Q[y]"
-        return f"Q[x]/(x^{self.modulus} - 1) ⊗ Q[y]"
+        line = self.kind.line
+        if line == "laurent":
+            factors = ["Q[x,x^-1]"]
+        elif line == "cyclotomic":
+            factors = [f"Q[x]/(x^{self.modulus} - 1)"]
+        else:
+            factors = []
+        if self.kind.unipotent:
+            factors.append("Q[y]" if factors else "Q[x]")
+        return " ⊗ ".join(factors) or "Q"
 
 
 def krull_dimension(presentation: RingPresentation) -> int:
-    """Krull dimension of the presented ring (0 for Artinian, +1 per free variable)."""
-    return _KRULL_DIM[presentation.kind]
+    """Krull dimension of the presented ring: 1 for a Laurent line factor,
+    plus 1 for the unipotent factor (a cyclotomic factor is Artinian)."""
+    kind = presentation.kind
+    return (kind.line == "laurent") + kind.unipotent
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ class GroupScheme:
 
     @property
     def dimension(self) -> int:
-        return sum(1 for f in self.factors if f in ("Gm", "Ga"))
+        return self.factors.count("Gm") + self.factors.count("Ga")
 
     def __str__(self) -> str:
         return " x ".join(self.factors) if self.factors else "1"
@@ -449,51 +456,89 @@ class ClassificationReport:
     notes: tuple[str, ...] = ()
 
 
+def _compose(
+    order: int,
+    unipotent: bool,
+    generators: tuple[str, ...],
+    modulus: int | None,
+    *,
+    curve: str,
+    s_set: object,
+    rank: int | None = None,
+    torsion: int | None = None,
+    degrees: tuple[int, ...] | None = None,
+    minimality_note: str | None = None,
+    notes: tuple[str, ...] = (),
+) -> ClassificationReport:
+    """The report for R(E) = (line factor) ⊗ (unipotent factor), and G likewise.
+
+    The line factor is set by ``order``, the order of the line bundles
+    involved (0 for infinite): none, with trivial group, for order 1; Laurent,
+    with Gm, for order 0; cyclotomic of ``modulus``, with mu_order,
+    otherwise.  The unipotent factor, present when ``unipotent``,
+    is Q[y] with Ga.  The keyword arguments are the report's other fields.
+    """
+    if order == 1:
+        line, group, modulus = None, (), None
+    elif order == 0:
+        line, group, modulus = "laurent", ("Gm",), None
+    else:
+        line, group = "cyclotomic", (f"mu_{order}",)
+    if unipotent:
+        group += ("Ga",)
+    presentation = RingPresentation(_KINDS[line, unipotent], modulus, generators)
+    group = GroupScheme(group or ("1",))
+    dim = krull_dimension(presentation)
+    return ClassificationReport(
+        curve=curve,
+        s_set=s_set,
+        presentation=presentation,
+        krull_dim=dim,
+        group=group,
+        correspondence_holds=(dim == group.dimension),
+        rank=rank,
+        torsion=torsion,
+        degrees=degrees,
+        minimality_note=minimality_note,
+        notes=notes,
+    )
+
+
 def classify(rank: int, torsion: int) -> ClassificationReport:
-    """Full classification of E = L ⊗ F_rank for L of the given torsion order."""
+    """Full classification of E = L ⊗ F_rank for L of the given torsion order.
+
+    R(E) and G are composed by :func:`_compose` from the line factor of L's
+    order n, generated by [L], and the unipotent factor, present exactly
+    when rank >= 2 and generated by [F_3] at odd rank, else by [F_2].  When
+    rank and n are both even, R(E) holds L^e ⊗ F_j only for e + j odd, so
+    [L^2] generates the line factor, the ring modulus is n/2 while G keeps
+    mu_n, and F_2 enters twisted by an odd power of L.
+    """
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if torsion < 0:
         raise ValueError("torsion order must be >= 0")
     n = torsion
     s_set = s_set_symbolic(rank, n)
+    both_even = rank % 2 == 0 and n % 2 == 0
+    generators = () if n == 1 else ("[L^2]",) if both_even else ("[L]",)
     minimality = None
     notes: tuple[str, ...] = ()
     if rank == 1:
-        if n == 1:
-            presentation = RingPresentation(PresentationKind.POINT)
-            group = GroupScheme(("1",))
-        elif n == 0:
-            presentation = RingPresentation(PresentationKind.LAURENT, generators=("[L]",))
-            group = GroupScheme(("Gm",))
+        if n == 0:
             notes = (
                 "rank-1 non-torsion case: L alone trivializes on a Gm-torsor; "
                 "included for completeness beyond the rank >= 2 case analysis",
             )
-        else:
-            presentation = RingPresentation(
-                PresentationKind.CYCLOTOMIC, modulus=n, generators=("[L]",)
-            )
-            group = GroupScheme((f"mu_{n}",))
-    elif n == 1:
-        gen = "[F_2]" if rank % 2 == 0 else "[F_3]"
-        presentation = RingPresentation(PresentationKind.POLY, generators=(gen,))
-        group = GroupScheme(("Ga",))
+    elif rank % 2 == 1:
+        generators += ("[F_3]",)
+    elif not both_even:
+        generators += ("[F_2]",)
     elif n == 0:
-        if rank % 2 == 1:
-            gens = ("[L]", "[F_3]")
-        else:
-            gens = ("[L^2]", "[L^-1*F_2]")
-        presentation = RingPresentation(PresentationKind.LAURENT_POLY, generators=gens)
-        group = GroupScheme(("Gm", "Ga"))
-    elif rank % 2 == 0 and n % 2 == 0:
+        generators += ("[L^-1*F_2]",)
+    else:
+        generators += ("[L*F_2]",)
         m = n // 2
-        presentation = RingPresentation(
-            PresentationKind.CYCLOTOMIC_POLY,
-            modulus=m,
-            generators=("[L^2]", "[L*F_2]"),
-        )
-        group = GroupScheme((f"mu_{n}", "Ga"))
         det = rank % n
         minimality = (
             f"mu_{m} x Ga does not suffice, although det E = {s_set.context.line(det)} "
@@ -502,22 +547,15 @@ def classify(rank: int, torsion: int) -> ClassificationReport:
             f"also trivializes L, and L has exact order {n}; the minimal group is "
             f"mu_{n} x Ga even though the ring modulus is {m}"
         )
-    else:
-        gen = "[F_2]" if rank % 2 == 0 else "[F_3]"
-        presentation = RingPresentation(
-            PresentationKind.CYCLOTOMIC_POLY, modulus=n, generators=("[L]", gen)
-        )
-        group = GroupScheme((f"mu_{n}", "Ga"))
-    dim = krull_dimension(presentation)
-    return ClassificationReport(
+    return _compose(
+        n,
+        rank > 1,
+        generators,
+        n // 2 if both_even else n,
         curve="elliptic",
         rank=rank,
         torsion=n,
         s_set=s_set,
-        presentation=presentation,
-        krull_dim=dim,
-        group=group,
-        correspondence_holds=(dim == group.dimension),
         minimality_note=minimality,
         notes=notes,
     )
@@ -574,24 +612,10 @@ def p1_classify(degrees) -> ClassificationReport:
     c = 0
     for d in degrees:
         c = math.gcd(c, d)
-    s_set = P1SSet(c)
-    if c == 0:
-        presentation = RingPresentation(PresentationKind.POINT)
-        group = GroupScheme(("1",))
-    else:
-        presentation = RingPresentation(
-            PresentationKind.LAURENT, generators=(f"[O({c})]",)
-        )
-        group = GroupScheme(("Gm",))
-    dim = krull_dimension(presentation)
-    return ClassificationReport(
-        curve="p1",
-        degrees=degrees,
-        s_set=s_set,
-        presentation=presentation,
-        krull_dim=dim,
-        group=group,
-        correspondence_holds=(dim == group.dimension),
+    # O(c) has infinite order in Pic(P^1) unless c = 0, and no F_r occurs.
+    generators = (f"[O({c})]",) if c else ()
+    return _compose(
+        0 if c else 1, False, generators, None, curve="p1", degrees=degrees, s_set=P1SSet(c)
     )
 
 

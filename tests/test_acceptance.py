@@ -139,14 +139,14 @@ def test_criterion_5_dimension_correspondence():
 def test_criterion_6_generator_polynomials():
     """[F_i] is recovered by evaluating its chain polynomial in the K-ring."""
     ctx = TorsionContext(0)
-    f2 = KRingElement.basis(ctx, ctx.atiyah(2))
+    f2 = KRingElement.single(ctx, ctx.atiyah(2))
     for i in range(1, 13):
         value = express_in_generator(i, "even").evaluate(f2)
-        assert value == KRingElement.basis(ctx, ctx.atiyah(i)), i
-    f3 = KRingElement.basis(ctx, ctx.atiyah(3))
+        assert value == KRingElement.single(ctx, ctx.atiyah(i)), i
+    f3 = KRingElement.single(ctx, ctx.atiyah(3))
     for i in range(1, 14, 2):
         value = express_in_generator(i, "odd").evaluate(f3)
-        assert value == KRingElement.basis(ctx, ctx.atiyah(i)), i
+        assert value == KRingElement.single(ctx, ctx.atiyah(i)), i
     assert express_in_generator(3, "even") == IntegerPolynomial.of([-1, 0, 1])
     assert express_in_generator(5, "odd") == IntegerPolynomial.of([-1, -1, 1])
     _report(6, "even chain i <= 12, odd chain i <= 13, hand values confirmed")

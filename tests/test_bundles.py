@@ -57,7 +57,7 @@ def ring_elements(ctx):
         max_size=4,
     ).map(
         lambda pairs: sum(
-            (c * KRingElement.basis(ctx, b) for b, c in pairs),
+            (c * KRingElement.single(ctx, b) for b, c in pairs),
             KRingElement.zero(ctx),
         )
     )
@@ -173,6 +173,14 @@ def test_bundles_do_not_concatenate_as_tuples():
     assert BundleSum.single(NT, a) + BundleSum.single(NT, b) == sum_of(NT, (1, 1, 1), (1, 0, 2))
 
 
+def test_plain_tuple_does_not_concatenate_a_bundle():
+    a = NT.line(1)
+    x = BundleSum.single(NT, a)
+    for combine in (lambda: (1,) + a, lambda: sum([a], ()), lambda: 1 + a, lambda: x + a):
+        with pytest.raises(TypeError):
+            combine()
+
+
 def test_bundles_and_sums_survive_pickle_and_copy():
     ctx = TorsionContext(6)
     b = ctx.bundle(-1, 4)
@@ -241,7 +249,7 @@ def test_context_mismatch_rejected():
     with pytest.raises(ContextMismatchError):
         BundleSum.unit(TorsionContext(2)).tensor(BundleSum.unit(TorsionContext(3)))
     with pytest.raises(ContextMismatchError):
-        BundleSum.unit(TorsionContext(2)) + KRingElement.one(TorsionContext(3))
+        BundleSum.unit(TorsionContext(2)) + KRingElement.unit(TorsionContext(3))
 
 
 @given(contexts, st.data())
@@ -595,7 +603,7 @@ def test_kring_multiplication(ctx, data):
     c = data.draw(ring_elements(ctx))
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-    assert a * KRingElement.one(ctx) == a
+    assert a * KRingElement.unit(ctx) == a
     assert a * (b + c) == a * b + a * c
 
 
@@ -621,13 +629,13 @@ def test_kring_extends_bundle_arithmetic(ctx, data):
 
 
 def test_signed_str():
-    f2 = KRingElement.basis(NT, NT.atiyah(2))
-    one = KRingElement.one(NT)
+    f2 = KRingElement.single(NT, NT.atiyah(2))
+    one = KRingElement.unit(NT)
     # Terms keep the bundle-sum order (index, then exponent); signs join them.
-    assert str(2 * f2 - KRingElement.basis(NT, NT.atiyah(4))) == "2 F_2 - F_4"
+    assert str(2 * f2 - KRingElement.single(NT, NT.atiyah(4))) == "2 F_2 - F_4"
     assert str(2 * f2 - one) == "-O + 2 F_2"
-    assert str(-3 * KRingElement.basis(NT, NT.bundle(-1, 2)) - f2) == "-3 L^-1*F_2 - F_2"
+    assert str(-3 * KRingElement.single(NT, NT.bundle(-1, 2)) - f2) == "-3 L^-1*F_2 - F_2"
     assert str(f2 - f2) == "0"
     # Non-negative elements print like the bundle sums they are.
-    assert str(2 * f2 + KRingElement.basis(NT, NT.atiyah(4))) == "2 F_2 + F_4"
+    assert str(2 * f2 + KRingElement.single(NT, NT.atiyah(4))) == "2 F_2 + F_4"
     assert str(sum_of(NT, (2, 0, 2), (1, 0, 4))) == "2 F_2 + F_4"

@@ -351,16 +351,16 @@ def test_unknown_chain_rejected():
 
 @pytest.mark.parametrize("index", range(1, 13))
 def test_even_chain_reproduces_basis_classes(index):
-    gen = KRingElement.basis(NT, NT.atiyah(2))
+    gen = KRingElement.single(NT, NT.atiyah(2))
     value = express_in_generator(index, "even").evaluate(gen)
-    assert value == KRingElement.basis(NT, NT.atiyah(index))
+    assert value == KRingElement.single(NT, NT.atiyah(index))
 
 
 @pytest.mark.parametrize("index", range(1, 14, 2))
 def test_odd_chain_reproduces_basis_classes(index):
-    gen = KRingElement.basis(NT, NT.atiyah(3))
+    gen = KRingElement.single(NT, NT.atiyah(3))
     value = express_in_generator(index, "odd").evaluate(gen)
-    assert value == KRingElement.basis(NT, NT.atiyah(index))
+    assert value == KRingElement.single(NT, NT.atiyah(index))
 
 
 # -- correspondence grid ---------------------------------------------------------------
@@ -381,6 +381,45 @@ def test_grid_known_rows():
     assert (cells[(2, 0)].krull_dim, cells[(2, 0)].group.dimension) == (2, 2)
     assert (cells[(2, 2)].krull_dim, cells[(2, 2)].group.dimension) == (1, 1)
     assert all(c.correspondence_holds for c in cells.values())
+
+
+def _growth(rank, torsion, degree_bounds):
+    """Distinct classes among the components of E^a ⊗ (E^∨)^b, a + b <= N,
+    for E = L ⊗ F_rank: their count D(N) for each N in ``degree_bounds``, and
+    the index sets by line exponent at the largest N.
+
+    E^∨ = L^-1 ⊗ F_rank, so such a product sits at line exponent a - b with
+    the indices of F_rank^(a + b), which follow from ``component_indices``
+    alone; the classification is never read.
+    """
+    ctx = TorsionContext(torsion)
+    by_exponent: dict[int, set[int]] = {}
+    indices = {1}
+    counts = []
+    for m in range(max(degree_bounds) + 1):
+        if m:
+            indices = {j for i in indices for j in component_indices(i, rank)}
+        for e in range(-m, m + 1, 2):
+            by_exponent.setdefault(ctx.reduce_exponent(e), set()).update(indices)
+        if m in degree_bounds:
+            counts.append(sum(map(len, by_exponent.values())))
+    return counts, by_exponent
+
+
+def test_dimensions_match_growth_of_the_generated_ring():
+    # Distinct classes are a basis of K(X) ⊗ Q, so D(N) is the dimension of
+    # the degree-<= N piece of the ring generated by E and its dual, and its
+    # growth degree is the Krull dimension.  The group gets Gm when a
+    # non-torsion exponent other than 0 is reached and Ga when some F_j with
+    # j > 1 is.
+    for rank in range(1, 9):
+        for torsion in range(0, 9):
+            (d16, d32), by_exponent = _growth(rank, torsion, (16, 32))
+            report = classify(rank, torsion)
+            assert round(math.log2(d32 / d16)) == report.krull_dim, (rank, torsion)
+            gm = torsion == 0 and any(e != 0 for e in by_exponent)
+            ga = any(j > 1 for js in by_exponent.values() for j in js)
+            assert gm + ga == report.group.dimension, (rank, torsion)
 
 
 def _order(ctx, exponent):
