@@ -20,9 +20,13 @@ and compares its keys as tuples, and sorting classes gives the order in which
 sums print.  :class:`KRingElement` holds signed
 Z-linear combinations of classes; :class:`BundleSum` is its non-negative view,
 the actual direct sums.  Both multiply through one kernel, :func:`_cg_product`.
-Tensor powers of bundle sums mostly take another route, a recurrence on
-characters (:meth:`BundleSum.tensor_power`), while ``KRingElement ** m`` stays
-repeated Clebsch-Gordan products, so the two can be compared.
+F_r ⊗ F_s is one step-2 run of indices with one coefficient, so the kernel
+records each pair of terms by the two ends of its run and sweeps the runs
+once, building each output term once.  Tensor powers of bundle sums take the
+cheaper of that kernel and a recurrence on characters, by a plan in
+estimated nanoseconds (:meth:`BundleSum.tensor_power`), while
+``KRingElement ** m`` stays repeated Clebsch-Gordan products, so the two can
+be compared.
 """
 
 from __future__ import annotations
@@ -154,20 +158,52 @@ def _cg_product(
 ) -> dict[IndecomposableBundle, int]:
     """Terms of x ⊗ y: the Clebsch-Gordan rule extended bilinearly.
 
-    Line exponents add, and each pair F_r, F_s contributes every F_j with j
-    in ``component_indices(r, s)`` at the product of the two coefficients.
-    Coefficients that cancel to zero are dropped once, at the end.
+    Line exponents add, and each pair c·L^a F_r, c'·L^b F_s contributes c·c'
+    to every F_j of the step-2 run ``component_indices(r, s)``.  So the pair
+    adds c·c' at index |r - s| + 1 and subtracts it at r + s + 1 in a sparse
+    row of break points, one row per (line exponent, index parity), and one
+    sweep over each row's sorted break points gives every coefficient: each
+    output key is built once, and runs that cancel to zero are skipped.  No
+    row is dense, so far-apart indices cost nothing for the gap.
     """
-    acc: dict[IndecomposableBundle, int] = {}
-    reduce = context.reduce_exponent
-    for a, ca in x.items():
-        for b, cb in y.items():
+    if len(x) == 1 == len(y):  # one run: nothing to merge
+        ((r, ea), ca), = x.items()
+        ((s, eb), cb), = y.items()
+        c = ca * cb
+        if not c:
+            return {}
+        e = context.reduce_exponent(ea + eb)
+        return {_key(IndecomposableBundle, (j, e)): c for j in component_indices(r, s)}
+    n = context.order
+    rows: dict[int, dict[int, int]] = {}  # 2·exponent + index parity -> break points
+    for (r, ea), ca in x.items():
+        for (s, eb), cb in y.items():
             c = ca * cb
-            e = reduce(a.exponent + b.exponent)
-            for j in component_indices(a.index, b.index):
-                key = IndecomposableBundle(e, j)
-                acc[key] = acc.get(key, 0) + c
-    return _drop_zeros(acc)
+            e = ea + eb
+            if n:
+                e %= n
+            start, end = (r - s + 1 if r >= s else s - r + 1), r + s + 1
+            k = 2 * e + (start & 1)
+            row = rows.get(k)
+            if row is None:
+                rows[k] = {start: c, end: -c}
+            else:
+                row[start] = row.get(start, 0) + c
+                row[end] = row.get(end, 0) - c
+    acc: dict[IndecomposableBundle, int] = {}
+    for k, row in rows.items():
+        e, c, j = k >> 1, 0, 0
+        for point in sorted(row):
+            if c:
+                for i in range(j, point, 2):
+                    acc[_key(IndecomposableBundle, (i, e))] = c
+            c += row[point]
+            j = point
+    return acc
+
+
+# Builds a class from a pair (index >= 1, exponent) that is already checked.
+_key = tuple.__new__
 
 
 def _drop_zeros(acc: dict[IndecomposableBundle, int]) -> dict[IndecomposableBundle, int]:
@@ -196,8 +232,8 @@ def dual(context: TorsionContext, a: IndecomposableBundle) -> IndecomposableBund
 # Most multiplicity words (64 bits) that one product, or the repeated products
 # of a tensor power, may write, by :func:`_product_words` or :func:`_loop_words`,
 # and most word operations of a power by ``characters._recurrence_plan``.
-# F_1000000^2 writes 10^6 terms of one word each in about 3 s on one core of
-# a shared 2-vCPU Xeon.
+# F_1000000^2 writes 10^6 terms of one word each in about 1.1 s and 150 MB on
+# one core of a shared 2-vCPU Xeon.
 MAX_LOOP_WORDS = 1 << 20
 
 
@@ -205,7 +241,12 @@ def _product_words(terms: int, index_sum: int, bits: int) -> int:
     """Upper estimate of the multiplicity words that one product writes:
     each of ``terms`` terms of one factor meets terms of the other whose
     indices sum to ``index_sum``, a pair F_r, F_s writes min(r, s) <= s
-    terms, and multiplicities below 2^(bits + 1) take bits // 64 + 1 words."""
+    terms, and multiplicities below 2^(bits + 1) take bits // 64 + 1 words.
+
+    This is the size that :data:`MAX_LOOP_WORDS` bounds, kept in words so
+    that no refusal moves.  The time of a product goes rather by pairs and
+    by terms written (:func:`_loop_ns`), since :func:`_cg_product` builds
+    each term once."""
     return terms * index_sum * (bits // 64 + 1)
 
 
@@ -401,37 +442,101 @@ class KRingElement:
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+def _power_sizes(base: BundleSum, power: int, cap: int, spread: tuple[int, int, int, int, int]):
+    """Upper estimates (N_j, bits_j) of the number of terms of the j-th power
+    of ``base`` and of the bits of its multiplicities, for j = 1, ..., power;
+    ``spread`` is ``_spread(base)``.
+
+    N_1 is the number of terms of ``base``; for j >= 2 the line exponents of
+    the j-th power are sums of j exponents of ``base`` (at most
+    comb(d + j - 1, j) for d distinct ones, counted up to ``cap`` + 1, within
+    a range of j·span + 1, or n residues over L of order n) and its indices
+    are at most j·(top - 1) + 1, all of one parity when those of ``base``
+    are.  Its multiplicities are at most rank^j.
+    """
+    n = base.context.order
+    _, span, d, top, step = spread
+    bits = math.log2(base.rank())
+    yield len(base.terms), int(bits)
+    sums = d  # comb(d + j - 1, j), capped once it passes cap
+    for j in range(2, power + 1):
+        sums = min(sums * (d + j - 1) // j, cap + 1)
+        yield min(sums, j * span + 1, n or sums) * (j * top // step + 1), int(j * bits)
+
+
 def _loop_words(
     base: BundleSum, power: int, cap: int, spread: tuple[int, int, int, int, int]
 ) -> int:
     """Upper estimate of the multiplicity words that power - 1 products by
     ``base`` write, cut short once it passes ``cap``; ``spread`` is
-    ``_spread(base)``.
-
-    The product of the j-th power by ``base`` writes at most
-    :func:`_product_words` of N_j terms against the index sum of ``base``.
-    N_1 is its number of terms; for j >= 2 the line exponents of the j-th
-    power are sums of j exponents of ``base`` (at most comb(d + j - 1, j) for
-    d distinct ones, within a range of j·span + 1, or n residues over L of
-    order n) and its indices are at most j·(top - 1) + 1, all of one parity
-    when those of ``base`` are.  The multiplicities of the (j+1)-th power are
-    at most rank^(j+1).
+    ``_spread(base)``.  The product of the j-th power by ``base`` writes at
+    most :func:`_product_words` of N_j terms against the index sum of
+    ``base``, N_j from :func:`_power_sizes`.  This is the size that
+    :data:`MAX_LOOP_WORDS` bounds; :func:`_loop_ns` is the time.
     """
     if power - 1 > cap:
         return power - 1  # every product writes at least one word
-    n = base.context.order
-    _, span, d, top, step = spread
     index_sum = sum(b.index for b in base.terms)
-    bits = math.log2(base.rank())
-    words = _product_words(len(base.terms), index_sum, int(2 * bits))
-    sums = d  # comb(d + j - 1, j), capped once it passes cap
-    for j in range(2, power):
+    words = 0
+    sizes = _power_sizes(base, power, cap, spread)
+    terms, _ = next(sizes)
+    for next_terms, bits in sizes:
         if words > cap:
             break
-        sums = min(sums * (d + j - 1) // j, cap + 1)
-        lines = min(sums, j * span + 1, n or sums)
-        words += _product_words(lines * (j * top // step + 1), index_sum, int((j + 1) * bits))
+        words += _product_words(terms, index_sum, bits)
+        terms = next_terms
     return words
+
+
+# Measured time of the two routes of a tensor power, in nanoseconds on one
+# core of a shared 2-vCPU Xeon (Python 3.11), fitted by least relative error
+# over the estimates the plan makes, on random bases of one to four terms and
+# powers 2 to 120.  Repeated products cost _PRODUCT_NS per product, plus
+# _PAIR_NS per pair of terms and word of its multiplicity, plus _TERM_NS per
+# term written.  The recurrence costs _RECURRENCE_NS, plus
+# _RECURRENCE_WORD_NS per word operation of ``characters._recurrence_plan``,
+# plus _RECURRENCE_SLOT_NS per slot of its read-off (q-rows times t-slots).
+_PRODUCT_NS = 9000
+_PAIR_NS = 500
+_TERM_NS = 300
+_RECURRENCE_NS = 14000
+_RECURRENCE_WORD_NS = 13
+_RECURRENCE_SLOT_NS = 1000
+
+
+def _recurrence_ns(
+    order: int, power: int, words: int, spread: tuple[int, int, int, int, int]
+) -> int:
+    """Estimated nanoseconds of the recurrence for the power of a base with
+    this ``spread`` (``_spread``) over L of this order, for the ``words`` of
+    ``characters._recurrence_plan``."""
+    _, span, _, top, step = spread
+    rows, slots = power * (2 * top // step) // 2 + 1, power * span + 1
+    if order:
+        slots = min(slots, order)
+    return _RECURRENCE_NS + _RECURRENCE_WORD_NS * words + _RECURRENCE_SLOT_NS * rows * slots
+
+
+def _loop_ns(
+    base: BundleSum, power: int, cap: float, spread: tuple[int, int, int, int, int]
+) -> float:
+    """Estimated nanoseconds of power - 1 products by ``base``, cut short once
+    it passes ``cap``; ``spread`` is ``_spread(base)``.  The product of the
+    j-th power by ``base`` meets N_j terms with those of ``base`` and writes
+    at most N_{j+1} terms of bits_{j+1} bits, N_j and bits_j from
+    :func:`_power_sizes`."""
+    ns = (power - 1) * _PRODUCT_NS
+    if ns > cap:
+        return ns
+    d = len(base.terms)
+    sizes = _power_sizes(base, power, int(cap // _TERM_NS), spread)
+    terms, _ = next(sizes)
+    for next_terms, bits in sizes:
+        ns += terms * d * (bits // 64 + 1) * _PAIR_NS + next_terms * _TERM_NS
+        if ns > cap:
+            break
+        terms = next_terms
+    return ns
 
 
 class BundleSum(KRingElement):
@@ -469,16 +574,18 @@ class BundleSum(KRingElement):
 
         The zeroth power is O by the empty-product convention, and the first
         is the sum itself.  Every other power follows one plan, made from the
-        terms alone before any arithmetic: repeated products
-        (``KRingElement.__pow__``) when :func:`_loop_words` finds they write
-        no more words than the Miller recurrence on the character takes word
-        operations (``characters._recurrence_plan``), and at most
-        :data:`MAX_LOOP_WORDS`; else the recurrence of
-        :func:`atiyah.characters.character_power` on the same plan, which
-        raises :class:`atiyah.characters.PowerTooLargeError` above that limit
-        too.  It costs every monomial of the base at every q-step, so
-        squares, high indices and line exponents far apart take repeated
-        products.
+        terms alone before any arithmetic, in one unit, estimated
+        nanoseconds: repeated products (``KRingElement.__pow__``) when
+        :func:`_loop_ns` finds them no slower than the Miller recurrence on
+        the character (:func:`_recurrence_ns` of
+        ``characters._recurrence_plan``) or that recurrence takes more than
+        :data:`MAX_LOOP_WORDS` word operations, and they write at most
+        :data:`MAX_LOOP_WORDS` words (:func:`_loop_words`); else the
+        recurrence of :func:`atiyah.characters.character_power` on the same
+        plan, which raises :class:`atiyah.characters.PowerTooLargeError`
+        above that limit.  It costs every monomial of the base at every
+        q-step, so squares, high indices and line exponents far apart take
+        repeated products.
         """
         if not self.terms:
             raise ValueError("cannot take tensor powers of the zero sum")
@@ -491,8 +598,12 @@ class BundleSum(KRingElement):
         from . import characters
 
         plan = words, _, spread = characters._recurrence_plan(base, power)
-        cap = min(words, MAX_LOOP_WORDS)
-        if _loop_words(base, power, cap, spread) <= cap:
+        if words > MAX_LOOP_WORDS:
+            faster = True  # the recurrence refuses
+        else:
+            recurrence_ns = _recurrence_ns(self.context.order, power, words, spread)
+            faster = _loop_ns(base, power, recurrence_ns, spread) <= recurrence_ns
+        if faster and _loop_words(base, power, MAX_LOOP_WORDS, spread) <= MAX_LOOP_WORDS:
             return KRingElement.__pow__(base, power)
         return BundleSum(self.context, characters._recurrence_power(base, power, plan))
 

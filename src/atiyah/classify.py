@@ -273,12 +273,14 @@ MAX_GRID_CELLS = 1 << 16
 
 
 def _enumeration_steps(rank: int, power_bound: int) -> int:
-    """Upper estimate of the work of :func:`s_set_enumerate`, in steps of its
-    index loop.
+    """Upper estimate of the work of :func:`s_set_enumerate`, in steps.
 
-    The m-th power has one index for m = 1 and at most m(rank - 1)/2 + 1
-    after, so T(N) = 1 + Σ_{m=2..N} (m(rank-1)/2 + 1) bounds the indices of
-    the first N powers.  Each index of a power expands into at most rank
+    It counts the work of expanding every index of every power into the
+    indices of the next, which the enumeration no longer does, so it is a
+    loose bound; it stays as it was so that every refusal stays where it
+    was.  The m-th power has one index for m = 1 and at most m(rank - 1)/2 +
+    1 after, so T(N) = 1 + Σ_{m=2..N} (m(rank-1)/2 + 1) bounds the indices
+    of the first N powers.  Each index of a power expands into at most rank
     indices of the next, and becomes a class at up to two line exponents; a
     class costs about as much as 64 steps.
     """
@@ -290,17 +292,24 @@ def _enumeration_steps(rank: int, power_bound: int) -> int:
 
 def s_set_enumerate(
     rank: int, torsion: int, power_bound: int
-) -> set[IndecomposableBundle]:
-    """Union of the supports of (L ⊗ F_rank)^{⊗m} over 0 < |m| <= power_bound.
+) -> tuple[IndecomposableBundle, ...]:
+    """Union of the supports of (L ⊗ F_rank)^{⊗m} over 0 < |m| <= power_bound,
+    in print order (by index, then exponent), each member once.
 
     Computed with the Clebsch-Gordan rule on supports alone: every component
     of the m-th power sits at line exponent m, and its indices are those of
-    the (m-1)-th power each multiplied by F_rank.  Multiplicities are
-    positive and never cancel, so the support is exact.  The negative powers
-    are the duals of the positive ones.
+    the (m-1)-th power each multiplied by F_rank.  They form one step-2 range
+    lo, lo + 2, ..., hi, which propagates as a range: the next power has
+    hi + rank - 1 on top and, at the bottom, 1 plus the distance from rank
+    to the nearest index of the range.  Multiplicities are positive and
+    never cancel, so the support is exact.  The negative powers are the
+    duals of the positive ones.  Per (reduced exponent, index parity) the
+    union over the powers is again one range, from the least bottom to the
+    greatest top; the members are emitted index by index from buckets filled
+    in exponent order, so nothing is sorted.
 
-    Raises ``ValueError``, before any enumeration, when the work would exceed
-    :data:`MAX_ENUMERATION_STEPS`.
+    Raises ``ValueError``, before any enumeration, when the work estimated
+    by :func:`_enumeration_steps` would exceed :data:`MAX_ENUMERATION_STEPS`.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -312,15 +321,40 @@ def s_set_enumerate(
             f"enumerating S(E) for rank {rank} up to power bound {power_bound} "
             f"would take about {steps} steps, above the limit of {MAX_ENUMERATION_STEPS}"
         )
-    ctx = TorsionContext(torsion)
-    out: set[IndecomposableBundle] = set()
-    indices = {rank}
+    reduce = TorsionContext(torsion).reduce_exponent
+    ranges: dict[tuple[int, int], list[int]] = {}  # (exponent, parity) -> [lo, hi]
+    lo = hi = rank
     for m in range(1, power_bound + 1):
         if m > 1:
-            indices = {j for i in indices for j in component_indices(i, rank)}
-        for e in {ctx.reduce_exponent(m), ctx.reduce_exponent(-m)}:
-            out.update(IndecomposableBundle(e, j) for j in indices)
-    return out
+            gap = lo - rank if rank < lo else rank - hi if rank > hi else (rank - lo) & 1
+            lo, hi = gap + 1, hi + rank - 1
+        for e in {reduce(m), reduce(-m)}:
+            bounds = ranges.get((e, lo & 1))
+            if bounds is None:
+                ranges[e, lo & 1] = [lo, hi]
+            else:
+                bounds[0], bounds[1] = min(bounds[0], lo), max(bounds[1], hi)
+    # Every reached exponent, in increasing order: ±1..±B, or the residues
+    # 1..B and n-B..n-1 (0..n-1 once they overlap) modulo n.
+    b, n = power_bound, torsion
+    if n == 0:
+        exponents = range(-b, b + 1)
+    elif n <= 2 * b:
+        exponents = range(n)
+    else:
+        exponents = [*range(1, b + 1), *range(n - b, n)]
+    buckets: list[list[int]] = [[] for _ in range(hi + 1)]
+    for e in exponents:
+        for parity in (0, 1):
+            bounds = ranges.get((e, parity))
+            if bounds is not None:
+                for j in range(bounds[0], bounds[1] + 1, 2):
+                    buckets[j].append(e)
+    # The pairs are valid classes, so build them without the index check.
+    new = tuple.__new__
+    return tuple(
+        new(IndecomposableBundle, (j, e)) for j, bucket in enumerate(buckets) for e in bucket
+    )
 
 
 def s_set_reachable(
@@ -518,8 +552,12 @@ def classify(rank: int, torsion: int) -> ClassificationReport:
         raise ValueError("rank must be >= 1")
     if torsion < 0:
         raise ValueError("torsion order must be >= 0")
-    n = torsion
-    s_set = s_set_symbolic(rank, n)
+    return _classify_cell(rank, torsion, s_set_symbolic(rank, torsion))
+
+
+def _classify_cell(rank: int, n: int, s_set: SSetDescription | None) -> ClassificationReport:
+    """:func:`classify` for a valid rank and torsion order n, with ``s_set``
+    as the report's S-set (``None`` for a grid cell, which prints none)."""
     both_even = rank % 2 == 0 and n % 2 == 0
     generators = () if n == 1 else ("[L^2]",) if both_even else ("[L]",)
     minimality = None
@@ -541,7 +579,7 @@ def classify(rank: int, torsion: int) -> ClassificationReport:
         m = n // 2
         det = rank % n
         minimality = (
-            f"mu_{m} x Ga does not suffice, although det E = {s_set.context.line(det)} "
+            f"mu_{m} x Ga does not suffice, although det E = {IndecomposableBundle(det, 1)} "
             f"has order {n // math.gcd(n, det)}, which divides {m}: by Atiyah's "
             f"classification L*F_{rank} determines L, so a torsor that trivializes E "
             f"also trivializes L, and L has exact order {n}; the minimal group is "
@@ -564,8 +602,10 @@ def classify(rank: int, torsion: int) -> ClassificationReport:
 def correspondence_grid(r_max: int, n_max: int) -> tuple[ClassificationReport, ...]:
     """Reports for every (rank, torsion) in [1..r_max] x [0..n_max], rank-major.
 
-    Each report carries dim R(E) (``krull_dim``), dim G (``group.dimension``)
-    and whether they agree (``correspondence_holds``).  Raises
+    Each report is that of :func:`classify` without the S-set (``s_set`` is
+    ``None``): it carries dim R(E) (``krull_dim``), dim G
+    (``group.dimension``) and whether they agree (``correspondence_holds``).
+    Raises
     ``ValueError``, before classifying any cell, for more than
     :data:`MAX_GRID_CELLS` cells.
     """
@@ -578,7 +618,7 @@ def correspondence_grid(r_max: int, n_max: int) -> tuple[ClassificationReport, .
             f"above the limit of {MAX_GRID_CELLS}"
         )
     return tuple(
-        classify(r, n) for r in range(1, r_max + 1) for n in range(0, n_max + 1)
+        _classify_cell(r, n, None) for r in range(1, r_max + 1) for n in range(0, n_max + 1)
     )
 
 

@@ -99,7 +99,7 @@ def _decomposition_to_text(decomposition) -> str:
 
 def _cmd_sset(args):
     symbolic = s_set_symbolic(args.rank, args.torsion)
-    enumerated = sorted(s_set_enumerate(args.rank, args.torsion, args.bound))
+    enumerated = s_set_enumerate(args.rank, args.torsion, args.bound)
     return (args.rank, args.torsion, args.bound, symbolic, enumerated), 0
 
 

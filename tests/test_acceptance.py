@@ -106,7 +106,7 @@ def test_criterion_4_s_set_agreement():
     cases = 0
     for r in range(1, 7):
         for n in range(0, 7):
-            enumerated = s_set_enumerate(r, n, bound)
+            enumerated = set(s_set_enumerate(r, n, bound))
             symbolic = s_set_symbolic(r, n)
             missing = [b for b in enumerated if not symbolic.contains(b)]
             assert not missing, (r, n, missing[:5])

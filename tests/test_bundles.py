@@ -119,7 +119,7 @@ def test_every_construction_route_gives_equal_keys():
     for name, terms in routes.items():
         assert terms == square, name
         assert_canonical_keys(ctx, terms)
-    enumerated = s_set_enumerate(2, 4, 6)
+    enumerated = set(s_set_enumerate(2, 4, 6))
     assert enumerated == s_set_reachable(2, 4, 6)
     assert a in enumerated
     assert_canonical_keys(ctx, enumerated)
