@@ -202,7 +202,8 @@ def _cg_product(
     return acc
 
 
-# Builds a class from a pair (index >= 1, exponent) that is already checked.
+# Builds a class from a pair (index, exponent) known to be valid, without the
+# index check of IndecomposableBundle.__new__: _key(IndecomposableBundle, pair).
 _key = tuple.__new__
 
 

@@ -31,7 +31,7 @@ from .bundles import (
     IndecomposableBundle,
     KRingElement,
     TorsionContext,
-    component_indices,
+    _key,
 )
 
 
@@ -334,8 +334,8 @@ def s_set_enumerate(
                 ranges[e, lo & 1] = [lo, hi]
             else:
                 bounds[0], bounds[1] = min(bounds[0], lo), max(bounds[1], hi)
-    # Every reached exponent, in increasing order: ±1..±B, or the residues
-    # 1..B and n-B..n-1 (0..n-1 once they overlap) modulo n.
+    # Every reached exponent and a few more, in increasing order: -B..B, or
+    # the residues 1..B and n-B..n-1 modulo n, or 0..n-1 once those overlap.
     b, n = power_bound, torsion
     if n == 0:
         exponents = range(-b, b + 1)
@@ -350,10 +350,9 @@ def s_set_enumerate(
             if bounds is not None:
                 for j in range(bounds[0], bounds[1] + 1, 2):
                     buckets[j].append(e)
-    # The pairs are valid classes, so build them without the index check.
-    new = tuple.__new__
+    key = _key  # looked up once, not once per member
     return tuple(
-        new(IndecomposableBundle, (j, e)) for j, bucket in enumerate(buckets) for e in bucket
+        key(IndecomposableBundle, (j, e)) for j, bucket in enumerate(buckets) for e in bucket
     )
 
 
@@ -605,8 +604,7 @@ def correspondence_grid(r_max: int, n_max: int) -> tuple[ClassificationReport, .
     Each report is that of :func:`classify` without the S-set (``s_set`` is
     ``None``): it carries dim R(E) (``krull_dim``), dim G
     (``group.dimension``) and whether they agree (``correspondence_holds``).
-    Raises
-    ``ValueError``, before classifying any cell, for more than
+    Raises ``ValueError``, before classifying any cell, for more than
     :data:`MAX_GRID_CELLS` cells.
     """
     if r_max < 1 or n_max < 0:

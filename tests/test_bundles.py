@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,7 @@ from atiyah import (
     tensor_indec,
 )
 import atiyah.characters as characters
-from atiyah.bundles import MAX_LOOP_WORDS, _cg_product, _loop_words, _spread
+from atiyah.bundles import MAX_LOOP_WORDS, _cg_product, _loop_words, _spread, component_indices
 from atiyah.characters import character, character_power, decompose_character
 from atiyah.classify import s_set_enumerate, s_set_reachable
 from atiyah.expressions import evaluate_expression
@@ -288,6 +289,75 @@ def test_det_exponent_additive(ctx, data):
     assert x.tensor(y).det_exponent() == expected
 
 
+# -- the run kernel against the double loop ---------------------------------------
+
+def reference_cg_product(context, x, y):
+    """Terms of x ⊗ y with one dict write per (pair, component), the double
+    loop that the run kernel replaced; zero coefficients are dropped."""
+    acc = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            e = context.reduce_exponent(a.exponent + b.exponent)
+            for j in component_indices(a.index, b.index):
+                key = IndecomposableBundle(e, j)
+                acc[key] = acc.get(key, 0) + ca * cb
+    return {key: c for key, c in acc.items() if c}
+
+
+def signed_terms(ctx):
+    coefficients = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([2**64, -(2**64), 2**64 + 1, -3 * 2**70]),
+    )
+    pairs = st.tuples(
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=1, max_value=50),
+        coefficients,
+    )
+    return st.lists(pairs, max_size=6).map(
+        lambda terms: KRingElement.of(ctx, [(ctx.bundle(e, r), c) for e, r, c in terms]).terms
+    )
+
+
+@given(st.sampled_from([TorsionContext(n) for n in (0, 1, 2, 3, 4, 6)]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_run_kernel_matches_the_double_loop(ctx, data):
+    x = data.draw(signed_terms(ctx))
+    y = data.draw(signed_terms(ctx))
+    product = _cg_product(ctx, x, y)
+    assert product == reference_cg_product(ctx, x, y)
+    assert all(product.values())
+    assert_canonical_keys(ctx, product)
+
+
+def test_run_kernel_cancels_and_takes_empty_operands():
+    # (F_2 - F_4)·F_3 = (F_2 + F_4) - (F_2 + F_4 + F_6): two runs cancel.
+    ctx = TorsionContext(4)
+    x = {ctx.atiyah(2): 2**64, ctx.atiyah(4): -(2**64)}
+    assert _cg_product(ctx, x, {ctx.atiyah(3): 1}) == {ctx.atiyah(6): -(2**64)}
+    # (L*F_2 - L^2*F_2)·(L^3*F_3 + L^2*F_3): both pairs at L^4 = O cancel.
+    y = {ctx.bundle(1, 2): 1, ctx.bundle(2, 2): -1}
+    z = {ctx.bundle(3, 3): 1, ctx.bundle(2, 3): 1}
+    assert _cg_product(ctx, y, z) == {
+        ctx.bundle(3, 2): 1, ctx.bundle(3, 4): 1, ctx.bundle(1, 2): -1, ctx.bundle(1, 4): -1
+    }
+    for a, b in (({}, {}), ({}, x), (x, {})):
+        assert _cg_product(ctx, a, b) == {}
+
+
+def test_run_kernel_never_fills_the_gap_between_indices():
+    # 1000 line bundles and F_100000 times F_100000: a dense row per exponent
+    # would take 10^8 slots; the runs write 101000 terms.
+    ctx = NT
+    x = BundleSum.of(ctx, [(ctx.line(3 * e), 1) for e in range(1000)] + [(ctx.atiyah(100000), 1)])
+    y = BundleSum.single(ctx, ctx.atiyah(100000))
+    start = time.perf_counter()
+    product = x * y
+    assert time.perf_counter() - start < 5.0
+    assert len(product.terms) == 1000 + 100000
+    assert product.rank() == x.rank() * y.rank()
+
+
 # -- duality -------------------------------------------------------------------
 
 def test_atiyah_bundles_self_dual():
@@ -481,6 +551,7 @@ def test_oversized_power_rejected_up_front():
     [
         ("F_2", 0, 1000, "packed"),
         ("L^-1*F_2 + O", 4, 150, "packed"),
+        ("L^2*F_3 + F_2", 6, 4, "packed"),
         ("F_50000", 0, 2, "products"),
         ("O + L^100000000", 0, 2, "products"),
         ("F_250000", 0, 2, "products"),

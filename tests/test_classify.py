@@ -243,6 +243,32 @@ def test_enumeration_matches_brute_force(rank, torsion, bound):
     assert set(s_set_enumerate(rank, torsion, bound)) == brute_force_s_set(rank, torsion, bound)
 
 
+def reference_s_sets(rank, torsion, bound):
+    """S-sets up to the power bounds 1, ..., bound, by the set-based expansion
+    that the range propagation replaced: every index of every power is
+    expanded into the indices of the next."""
+    ctx = TorsionContext(torsion)
+    out = set()
+    indices = {rank}
+    for m in range(1, bound + 1):
+        if m > 1:
+            indices = {j for i in indices for j in component_indices(i, rank)}
+        for e in {ctx.reduce_exponent(m), ctx.reduce_exponent(-m)}:
+            out.update(ctx.bundle(e, j) for j in indices)
+        yield out
+
+
+@pytest.mark.parametrize("rank", range(1, 13))
+def test_enumeration_matches_set_expansion(rank):
+    # Torsion 61 and 10^9 exceed twice every bound, so the residues reached
+    # are 1..B and n-B..n-1.
+    for torsion in (*range(13), 61, 10**9):
+        for bound, reference in enumerate(reference_s_sets(rank, torsion, 30), start=1):
+            enumerated = s_set_enumerate(rank, torsion, bound)
+            assert enumerated == tuple(sorted(reference)), (rank, torsion, bound)
+            assert all(a < b for a, b in zip(enumerated, enumerated[1:]))
+
+
 def counted_enumeration_work(rank, torsion, bound):
     """Index-loop steps plus 64 per class of the enumeration, counted."""
     ctx = TorsionContext(torsion)
