@@ -231,7 +231,7 @@ def dual(context: TorsionContext, a: IndecomposableBundle) -> IndecomposableBund
 
 
 # Most multiplicity words (64 bits) that one product, or the repeated products
-# of a tensor power, may write, by :func:`_product_words` or :func:`_loop_words`,
+# of a tensor power, may write, by :func:`_product_words` or :func:`_loop_fits`,
 # and most word operations of a power by ``characters._recurrence_plan``.
 # F_1000000^2 writes 10^6 terms of one word each in about 1.1 s and 150 MB on
 # one core of a shared 2-vCPU Xeon.
@@ -246,7 +246,7 @@ def _product_words(terms: int, index_sum: int, bits: int) -> int:
 
     This is the size that :data:`MAX_LOOP_WORDS` bounds, kept in words so
     that no refusal moves.  The time of a product goes rather by pairs and
-    by terms written (:func:`_loop_ns`), since :func:`_cg_product` builds
+    by terms written (:func:`_loop_fits`), since :func:`_cg_product` builds
     each term once."""
     return terms * index_sum * (bits // 64 + 1)
 
@@ -299,7 +299,9 @@ class KRingElement:
     def single(
         cls, context: TorsionContext, bundle: IndecomposableBundle, mult: int = 1
     ) -> KRingElement:
-        return cls.of(context, [(bundle, mult)])
+        """mult times one class, its exponent canonicalized; empty if mult is 0."""
+        index, exponent = bundle
+        return cls(context, {context.bundle(exponent, index): mult} if mult else {})
 
     @classmethod
     def zero(cls, context: TorsionContext) -> KRingElement:
@@ -465,30 +467,6 @@ def _power_sizes(base: BundleSum, power: int, cap: int, spread: tuple[int, int, 
         yield min(sums, j * span + 1, n or sums) * (j * top // step + 1), int(j * bits)
 
 
-def _loop_words(
-    base: BundleSum, power: int, cap: int, spread: tuple[int, int, int, int, int]
-) -> int:
-    """Upper estimate of the multiplicity words that power - 1 products by
-    ``base`` write, cut short once it passes ``cap``; ``spread`` is
-    ``_spread(base)``.  The product of the j-th power by ``base`` writes at
-    most :func:`_product_words` of N_j terms against the index sum of
-    ``base``, N_j from :func:`_power_sizes`.  This is the size that
-    :data:`MAX_LOOP_WORDS` bounds; :func:`_loop_ns` is the time.
-    """
-    if power - 1 > cap:
-        return power - 1  # every product writes at least one word
-    index_sum = sum(b.index for b in base.terms)
-    words = 0
-    sizes = _power_sizes(base, power, cap, spread)
-    terms, _ = next(sizes)
-    for next_terms, bits in sizes:
-        if words > cap:
-            break
-        words += _product_words(terms, index_sum, bits)
-        terms = next_terms
-    return words
-
-
 # Measured time of the two routes of a tensor power, in nanoseconds on one
 # core of a shared 2-vCPU Xeon (Python 3.11), fitted by least relative error
 # over the estimates the plan makes, on random bases of one to four terms and
@@ -518,26 +496,37 @@ def _recurrence_ns(
     return _RECURRENCE_NS + _RECURRENCE_WORD_NS * words + _RECURRENCE_SLOT_NS * rows * slots
 
 
-def _loop_ns(
-    base: BundleSum, power: int, cap: float, spread: tuple[int, int, int, int, int]
-) -> float:
-    """Estimated nanoseconds of power - 1 products by ``base``, cut short once
-    it passes ``cap``; ``spread`` is ``_spread(base)``.  The product of the
-    j-th power by ``base`` meets N_j terms with those of ``base`` and writes
-    at most N_{j+1} terms of bits_{j+1} bits, N_j and bits_j from
-    :func:`_power_sizes`."""
+def _loop_fits(
+    base: BundleSum, power: int, ns_cap: float, words_cap: int,
+    spread: tuple[int, int, int, int, int],
+) -> bool:
+    """Whether power - 1 products by ``base`` are estimated at most ``ns_cap``
+    nanoseconds and write at most ``words_cap`` multiplicity words; ``spread``
+    is ``_spread(base)``.  One walk over :func:`_power_sizes` sums both
+    estimates and stops once either passes its cap.  The product of the j-th
+    power by ``base`` meets N_j terms with those of ``base``: it takes
+    :func:`_product_words` of N_j terms against the index sum of ``base``
+    (the size that :data:`MAX_LOOP_WORDS` bounds), and writes at most N_{j+1}
+    terms of bits_{j+1} bits (the time), N_j and bits_j from
+    :func:`_power_sizes`.
+    """
     ns = (power - 1) * _PRODUCT_NS
-    if ns > cap:
-        return ns
-    d = len(base.terms)
-    sizes = _power_sizes(base, power, int(cap // _TERM_NS), spread)
+    if power - 1 > words_cap or ns > ns_cap:
+        return False  # each product writes at least one word and takes _PRODUCT_NS
+    index_sum = sum(b.index for b in base.terms)
+    d, words = len(base.terms), 0
+    # A term count that _power_sizes caps makes the sum it enters pass its own
+    # cap, so one walk capped at the larger cap decides as two walks would.
+    terms_cap = words_cap if ns_cap == math.inf else max(words_cap, int(ns_cap) // _TERM_NS)
+    sizes = _power_sizes(base, power, terms_cap, spread)
     terms, _ = next(sizes)
     for next_terms, bits in sizes:
+        words += _product_words(terms, index_sum, bits)
         ns += terms * d * (bits // 64 + 1) * _PAIR_NS + next_terms * _TERM_NS
-        if ns > cap:
-            break
+        if words > words_cap or ns > ns_cap:
+            return False
         terms = next_terms
-    return ns
+    return True
 
 
 class BundleSum(KRingElement):
@@ -565,6 +554,14 @@ class BundleSum(KRingElement):
                 raise ValueError("multiplicities must be >= 0")
         return super().of(context, items)
 
+    @classmethod
+    def single(
+        cls, context: TorsionContext, bundle: IndecomposableBundle, mult: int = 1
+    ) -> BundleSum:
+        if mult < 0:
+            raise ValueError("multiplicities must be >= 0")
+        return super().single(context, bundle, mult)
+
     def scale(self, k: int) -> BundleSum:
         if k < 0:
             raise ValueError("multiplicities must be >= 0")
@@ -577,16 +574,16 @@ class BundleSum(KRingElement):
         is the sum itself.  Every other power follows one plan, made from the
         terms alone before any arithmetic, in one unit, estimated
         nanoseconds: repeated products (``KRingElement.__pow__``) when
-        :func:`_loop_ns` finds them no slower than the Miller recurrence on
-        the character (:func:`_recurrence_ns` of
-        ``characters._recurrence_plan``) or that recurrence takes more than
-        :data:`MAX_LOOP_WORDS` word operations, and they write at most
-        :data:`MAX_LOOP_WORDS` words (:func:`_loop_words`); else the
-        recurrence of :func:`atiyah.characters.character_power` on the same
-        plan, which raises :class:`atiyah.characters.PowerTooLargeError`
-        above that limit.  It costs every monomial of the base at every
-        q-step, so squares, high indices and line exponents far apart take
-        repeated products.
+        :func:`_loop_fits` finds that they write at most
+        :data:`MAX_LOOP_WORDS` words and are no slower than the Miller
+        recurrence on the character (:func:`_recurrence_ns` of
+        ``characters._recurrence_plan``), or that recurrence takes more than
+        :data:`MAX_LOOP_WORDS` word operations; else the recurrence of
+        :func:`atiyah.characters.character_power` on the same plan, which
+        raises :class:`atiyah.characters.PowerTooLargeError` above that
+        limit.  It costs every monomial of the base at every q-step, so
+        squares, high indices and line exponents far apart take repeated
+        products.
         """
         if not self.terms:
             raise ValueError("cannot take tensor powers of the zero sum")
@@ -600,11 +597,10 @@ class BundleSum(KRingElement):
 
         plan = words, _, spread = characters._recurrence_plan(base, power)
         if words > MAX_LOOP_WORDS:
-            faster = True  # the recurrence refuses
+            recurrence_ns = math.inf  # the recurrence refuses
         else:
             recurrence_ns = _recurrence_ns(self.context.order, power, words, spread)
-            faster = _loop_ns(base, power, recurrence_ns, spread) <= recurrence_ns
-        if faster and _loop_words(base, power, MAX_LOOP_WORDS, spread) <= MAX_LOOP_WORDS:
+        if _loop_fits(base, power, recurrence_ns, MAX_LOOP_WORDS, spread):
             return KRingElement.__pow__(base, power)
         return BundleSum(self.context, characters._recurrence_power(base, power, plan))
 

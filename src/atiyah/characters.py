@@ -21,9 +21,13 @@ fixed-width slots of one Python integer (:func:`_pack`), big-integer
 arithmetic does the convolution, and :func:`_unpack` reads the slots back.
 ``BivariateCharacter.__mul__`` packs each run of nearby q-exponents of a
 t-row separately, so it costs one integer product per pair of runs and never
-allocates slots for the gaps between them.  It packs coefficients, not
-brackets, and knows nothing of the Clebsch-Gordan rule, which keeps the
-oracle independent of the formula it checks.
+allocates slots for the gaps between them.  One pass over the sorted
+monomials of an operand finds its runs and the parities of its q-exponents,
+and when each operand is one run the slots of the one product are the
+result.  It packs coefficients, not brackets, and knows nothing of the
+Clebsch-Gordan rule, which keeps the oracle independent of the formula it
+checks.  :func:`decompose_character` checks q-symmetry, gaps and descents in
+the same single pass that reads the multiplicities off.
 
 :func:`character_power` takes tensor powers by the J.C.P. Miller recurrence
 in q over t-rows packed the same way, one small-by-big product per monomial of
@@ -37,10 +41,12 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .bundles import MAX_LOOP_WORDS, BundleSum, ContextMismatchError, IndecomposableBundle
-from .bundles import TorsionContext, _spread
+from .bundles import TorsionContext, _key, _spread, tensor_indec
 
 
 # struct/memoryview format of each slot width that one C call packs or reads
@@ -71,10 +77,10 @@ def _pack(values: list[int], width: int, signed: bool = False) -> int:
     the top bit of every signed slot turns its bytes into value +
     2^(8·width−1), which is non-negative, and the bias is then subtracted.
     """
-    fmt = _FORMATS.get(width)
     if width == 1 and not signed:
-        data = bytes(values)
-    elif fmt:
+        return int.from_bytes(bytes(values), "little")
+    fmt = _FORMATS.get(width)
+    if fmt:
         data = struct.pack(f"{len(values)}{fmt.lower() if signed else fmt}", *values)
     else:
         data = b"".join(c.to_bytes(width, "little", signed=signed) for c in values)
@@ -110,31 +116,58 @@ def _unpack(v: int, count: int, width: int, signed: bool = False) -> Sequence[in
     ]
 
 
-def _blocks(
-    coeffs: Mapping[tuple[int, int], int], step: int, width: int, signed: bool
-) -> list[tuple[int, int, int, int]]:
-    """A character's monomials as packed blocks (t, lowest q, slots, integer).
+_q_exponent = itemgetter(1)
 
-    A block is a run of one t-row whose consecutive q-exponents are at most 2
-    apart, so it has at most twice as many slots as monomials; q advances by
-    ``step`` from slot to slot.
+
+def _runs(
+    coeffs: Mapping[tuple[int, int], int], width: int, signed: bool
+) -> tuple[int, list[tuple[int, int, list[int], int]]]:
+    """One pass over the sorted monomials of a Laurent polynomial: (parity
+    mask, runs).
+
+    The mask has bit q & 1 set for every q-exponent q.  A run (t, lowest q,
+    slots, packed) is a stretch of one t-row whose consecutive q-exponents
+    are at most 2 apart.  Its slots hold the coefficients from the lowest
+    q-exponent to the highest, one per q-exponent, or one per other
+    q-exponent when the mask has one bit, with 0 where no monomial is; so a
+    run has at most twice as many slots as monomials.  ``packed`` is
+    :func:`_pack` of the slots.  A single t-row holding every other
+    q-exponent from its lowest to its highest is found without a loop in
+    Python.
     """
-    blocks = []
-    items = iter(sorted(coeffs.items()))
-    (t_run, lo), c = next(items)
-    values = [c]
-    prev = lo
-    for (t, q), c in items:
-        if t == t_run and q - prev <= 2:
-            if q - prev > step:
-                values.append(0)
-            values.append(c)
-        else:
-            blocks.append((t_run, lo, len(values), _pack(values, width, signed)))
-            t_run, lo, values = t, q, [c]
+    keys = sorted(coeffs)
+    (t_run, lo), (t_end, hi) = keys[0], keys[-1]
+    n = len(keys)  # below 3, n distinct q from lo to lo + 2n - 2 are every other one
+    if (t_run == t_end and hi - lo == 2 * n - 2
+            and (n < 3 or list(map(_q_exponent, keys)) == list(range(lo, hi + 1, 2)))):
+        slots = list(map(coeffs.__getitem__, keys))
+        return 1 << (lo & 1), [(t_run, lo, slots, _pack(slots, width, signed))]
+    mask, runs, slots, prev = 0, [], [], lo
+    for key in keys:
+        t, q = key
+        mask |= 1 << (q & 1)
+        if t != t_run or q - prev > 2:
+            runs.append((t_run, lo, slots))
+            t_run, lo, slots = t, q, []
+        elif q - prev == 2:
+            slots.append(0)
+        slots.append(coeffs[key])
         prev = q
-    blocks.append((t_run, lo, len(values), _pack(values, width, signed)))
-    return blocks
+    runs.append((t_run, lo, slots))
+    if mask != 3:  # one parity: every other slot is a gap
+        runs = [(t, lo, s[::2]) for t, lo, s in runs]
+    return mask, [(t, lo, s, _pack(s, width, signed)) for t, lo, s in runs]
+
+
+def _every_q(runs: list, width: int, signed: bool) -> list[tuple[int, int, list[int], int]]:
+    """Runs of :func:`_runs` that have a slot per other q-exponent, repacked
+    with a slot per q-exponent: a 0 between every two slots."""
+    spread = []
+    for t, lo, slots, _ in runs:
+        every = [0] * (2 * len(slots) - 1)
+        every[::2] = slots
+        spread.append((t, lo, every, _pack(every, width, signed)))
+    return spread
 
 
 class NotACharacterError(ValueError):
@@ -177,10 +210,6 @@ class BivariateCharacter:
     def zero(cls, context: TorsionContext) -> BivariateCharacter:
         return cls(context, {})
 
-    @classmethod
-    def one(cls, context: TorsionContext) -> BivariateCharacter:
-        return cls(context, {(0, 0): 1})
-
     def _check_context(self, other: BivariateCharacter) -> None:
         if self.context != other.context:
             raise ContextMismatchError(
@@ -201,18 +230,23 @@ class BivariateCharacter:
     def __mul__(self, other):
         """Scalar multiple, or Laurent product with t-exponents reduced.
 
-        The product is computed by Kronecker substitution.  Each operand is
-        cut into blocks (:func:`_blocks`): runs of one t-row whose
-        q-exponents lie at most 2 apart, with q halved when every q-exponent
-        of each operand has one parity.  Each block becomes one integer with
-        a slot per q-exponent, and each pair of blocks costs one integer
+        The product is computed by Kronecker substitution.  One pass over the
+        sorted monomials of each operand (:func:`_runs`) cuts it into runs of
+        one t-row whose q-exponents lie at most 2 apart, notes the parities
+        of its q-exponents and packs each run into one integer, with a slot
+        per other q-exponent when they have one parity.  If the other
+        operand has both parities, such runs are repacked with a slot per
+        q-exponent (:func:`_every_q`).  Each pair of runs costs one integer
         product, whose slots are the coefficients of that t-row of the
         product.  No product coefficient exceeds min(‖a‖₁·‖b‖∞, ‖a‖∞·‖b‖₁)
         in absolute value, so slots of that many bits, plus a sign bit when a
-        coefficient is negative, never carry.  The cost is one big-integer
-        product per block pair plus work linear in the monomials, so a
-        bracket product [r]·[s] costs O(r + s) interpreter steps, not r·s,
-        and gaps between far-apart exponents cost nothing.
+        coefficient is negative, never carry.  When each operand is one run,
+        as every bracket is, the slots of the one product are the result;
+        otherwise pairs that land in one t-row add up slot by slot.  The
+        cost is one big-integer product per pair of runs plus work linear in
+        the monomials, so a bracket product [r]·[s] costs O(r + s)
+        interpreter steps, not r·s, and gaps between far-apart exponents cost
+        nothing.
 
         The product treats its operands as arbitrary Laurent polynomials: it
         never looks for brackets and never applies the Clebsch-Gordan rule,
@@ -226,7 +260,8 @@ class BivariateCharacter:
             )
         if not isinstance(other, BivariateCharacter):
             return NotImplemented
-        self._check_context(other)
+        if self.context is not other.context:
+            self._check_context(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return BivariateCharacter.zero(self.context)
@@ -236,16 +271,31 @@ class BivariateCharacter:
             va, vb = list(map(abs, va)), list(map(abs, vb))
         bound = min(sum(va) * max(vb), max(va) * sum(vb))
         width = _slot_width(bound.bit_length() + signed)
-        same_parity = len({q & 1 for _, q in a}) == 1 and len({q & 1 for _, q in b}) == 1
-        step = 2 if same_parity else 1
+        mask_a, runs_a = _runs(a, width, signed)
+        mask_b, runs_b = _runs(b, width, signed)
+        step = 2
+        if mask_a == 3 or mask_b == 3:
+            step = 1
+            if mask_a != 3:
+                runs_a = _every_q(runs_a, width, signed)
+            if mask_b != 3:
+                runs_b = _every_q(runs_b, width, signed)
         reduce = self.context.reduce_exponent
+        if len(runs_a) == 1 == len(runs_b):
+            (ta, qa, sa, pa), = runs_a
+            (tb, qb, sb, pb), = runs_b
+            t, q, count = reduce(ta + tb), qa + qb, len(sa) + len(sb) - 1
+            slots = _unpack(pa * pb, count, width, signed)
+            return BivariateCharacter(
+                self.context,
+                {(t, q): c for q, c in zip(range(q, q + step * count, step), slots) if c},
+            )
         acc: dict[tuple[int, int], int] = {}
-        blocks_b = _blocks(b, step, width, signed)
-        for ta, qa, na, pa in _blocks(a, step, width, signed):
-            for tb, qb, nb, pb in blocks_b:
+        for ta, qa, sa, pa in runs_a:
+            for tb, qb, sb, pb in runs_b:
                 t = reduce(ta + tb)
                 q = qa + qb
-                for c in _unpack(pa * pb, na + nb - 1, width, signed):
+                for c in _unpack(pa * pb, len(sa) + len(sb) - 1, width, signed):
                     if c:
                         key = (t, q)
                         v = acc.get(key, 0) + c
@@ -257,10 +307,6 @@ class BivariateCharacter:
         return BivariateCharacter(self.context, acc)
 
     __rmul__ = __mul__
-
-    def total(self) -> int:
-        """Sum of all coefficients; equals the rank for actual characters."""
-        return sum(self.coeffs.values())
 
     def is_q_symmetric(self) -> bool:
         """Characters of bundle sums are invariant under q -> q^{-1}."""
@@ -287,13 +333,28 @@ class BivariateCharacter:
 
 def character(x: BundleSum) -> BivariateCharacter:
     """Character of a bundle sum: additive, and multiplicative under tensor."""
+    if len(x.terms) == 1:
+        ((r, e), m), = x.terms.items()
+        monomials = zip(repeat(e), range(r - 1, -r, -2))
+        return BivariateCharacter(x.context, dict.fromkeys(monomials, m))
     acc: dict[tuple[int, int], int] = {}
-    for b, m in x.terms.items():
-        e, r = b.exponent, b.index
-        for k in range(r):
-            key = (e, r - 1 - 2 * k)
+    for (r, e), m in x.terms.items():
+        for q in range(r - 1, -r, -2):
+            key = (e, q)
             acc[key] = acc.get(key, 0) + m
     return BivariateCharacter(x.context, acc)
+
+
+_ASYMMETRIC = "not a character: not invariant under q -> 1/q"
+
+
+def _rejection(c: BivariateCharacter, reason: str) -> NotACharacterError:
+    """The error for a gap or a descent of the read-off at ``reason``; an
+    input that is also not q-symmetric is rejected for that, as the
+    asymmetry may lie in monomials the pass has not yet reached."""
+    if not c.is_q_symmetric():
+        return NotACharacterError(_ASYMMETRIC)
+    return NotACharacterError(f"not a character: {reason}")
 
 
 def decompose_character(c: BivariateCharacter) -> BundleSum:
@@ -303,26 +364,37 @@ def decompose_character(c: BivariateCharacter) -> BundleSum:
     Raises :class:`NotACharacterError` when the input is not a non-negative
     combination of bracket characters: it is not invariant under q -> q^{-1},
     or some difference c(e, w) − c(e, w+2) is negative, which includes a gap:
-    c(e, w−2) = 0 below a nonzero c(e, w) with w >= 2.
+    c(e, w−2) = 0 below a nonzero c(e, w) with w >= 2.  One pass over the
+    monomials makes all three checks: each q > 0 must meet its mirror, and
+    the monomials with q >= 0, those with q > 0 counted twice, must be all
+    of them.
     """
-    if not c.is_q_symmetric():
-        raise NotACharacterError("not a character: not invariant under q -> 1/q")
     coeffs = c.coeffs
     terms: dict[IndecomposableBundle, int] = {}
+    mirrored = 0
     for (t, q), k in coeffs.items():
-        if q < 0 or not k:
+        if q < 0:
+            continue
+        if q:
+            if coeffs.get((t, -q)) != k:
+                raise NotACharacterError(_ASYMMETRIC)
+            mirrored += 2
+        else:
+            mirrored += 1
+        if not k:
             continue
         if q >= 2 and not coeffs.get((t, q - 2)):
-            raise NotACharacterError(f"not a character: gap below t^{t} q^{q}")
+            raise _rejection(c, f"gap below t^{t} q^{q}")
         above = coeffs.get((t, q + 2), 0)
         m = k - above
         if m < 0:
-            raise NotACharacterError(
-                f"not a character: coefficient {k} at t^{t} q^{q} is below "
-                f"{above} at q^{q + 2}"
+            raise _rejection(
+                c, f"coefficient {k} at t^{t} q^{q} is below {above} at q^{q + 2}"
             )
         if m:
-            terms[IndecomposableBundle(t, q + 1)] = m
+            terms[_key(IndecomposableBundle, (q + 1, t))] = m
+    if mirrored != len(coeffs):
+        raise NotACharacterError(_ASYMMETRIC)
     return BundleSum(c.context, terms)
 
 
@@ -459,11 +531,9 @@ def oracle_check(
     context: TorsionContext, a: IndecomposableBundle, b: IndecomposableBundle
 ) -> OracleCheck:
     """Decompose a ⊗ b along both routes and compare the multisets."""
-    from .bundles import tensor_indec
-
+    (r, ea), (s, eb) = a, b
+    a, b = context.bundle(ea, r), context.bundle(eb, s)
     formula = tensor_indec(context, a, b)
-    product = character(BundleSum.single(context, a)) * character(
-        BundleSum.single(context, b)
-    )
+    product = character(BundleSum(context, {a: 1})) * character(BundleSum(context, {b: 1}))
     peeled = decompose_character(product)
     return OracleCheck(formula == peeled, formula, peeled)

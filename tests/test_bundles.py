@@ -21,7 +21,7 @@ from atiyah import (
     tensor_indec,
 )
 import atiyah.characters as characters
-from atiyah.bundles import MAX_LOOP_WORDS, _cg_product, _loop_words, _spread, component_indices
+from atiyah.bundles import MAX_LOOP_WORDS, _cg_product, _loop_fits, _spread, component_indices
 from atiyah.characters import character, character_power, decompose_character
 from atiyah.classify import s_set_enumerate, s_set_reachable
 from atiyah.expressions import evaluate_expression
@@ -478,7 +478,7 @@ def test_recurrence_matches_ring_power(ctx, data, big):
     x = BundleSum.of(ctx, [(ctx.bundle(e, r), k) for e, r, k in pairs])
     m = data.draw(st.integers(min_value=1, max_value=12 if big else 40))
     # Keep the reference, repeated Clebsch-Gordan products, small.
-    assume(_loop_words(x, m, 1 << 17, _spread(x)) <= 1 << 17)
+    assume(_loop_fits(x, m, math.inf, 1 << 17, _spread(x)))
     assert packed_power(x, m) == ring_power(x, m)
 
 
@@ -630,6 +630,8 @@ def test_exponents_canonical_at_construction():
     assert ctx.bundle(6, 2) == ctx.bundle(2, 2)
     x = BundleSum.of(ctx, [(IndecomposableBundle(-1, 2), 1)])
     assert x == BundleSum.single(ctx, ctx.bundle(3, 2))
+    assert x == BundleSum.single(ctx, IndecomposableBundle(-1, 2))
+    assert KRingElement.single(ctx, IndecomposableBundle(-5, 2), -3).terms == {(2, 3): -3}
 
 
 def test_no_zero_multiplicities_stored():
@@ -639,6 +641,8 @@ def test_no_zero_multiplicities_stored():
         BundleSum.of(NT, [(NT.atiyah(2), -1)])
     with pytest.raises(ValueError):
         BundleSum.single(NT, NT.atiyah(2), -2)
+    assert BundleSum.single(NT, NT.atiyah(2), 0) == BundleSum.zero(NT)
+    assert KRingElement.single(NT, NT.atiyah(2), 0) == KRingElement.zero(NT)
 
 
 def test_scaling():

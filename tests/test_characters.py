@@ -1,6 +1,7 @@
 """Character oracle: brackets, multiplicativity, peeling, and cross-checks."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -19,6 +20,7 @@ from atiyah import (
     tensor_indec,
 )
 from atiyah.characters import character_power
+from atiyah.cli import _VERIFY_PROBES
 
 NT = TorsionContext(0)
 
@@ -97,7 +99,7 @@ def test_character_multiplicative(ctx, data):
 def test_character_rank_and_symmetry(ctx, data):
     x = data.draw(bundle_sums(ctx))
     c = character(x)
-    assert c.total() == x.rank()
+    assert sum(c.coeffs.values()) == x.rank()
     assert c.is_q_symmetric()
 
 
@@ -144,6 +146,15 @@ def test_packed_product_matches_double_loop(ctx, data):
     assert product == naive_product(a, b)
     assert 0 not in product.coeffs.values()
     assert a * BivariateCharacter.zero(ctx) == BivariateCharacter.zero(ctx)
+
+
+@pytest.mark.parametrize("qs", [(0, 1, 4), (0, 3, 4), (-3, 0, 1, 3), (0, 2, 4), (5, 7)])
+def test_product_of_one_row_spanning_like_a_bracket(qs):
+    # n q-exponents of one t-row spanning 2n - 2, every other one or not.
+    a = BivariateCharacter.of(NT, {(1, q): q + 5 for q in qs})
+    b = BivariateCharacter.of(NT, {(0, 1): 2, (0, -1): 3})
+    for x, y in [(a, a), (a, b), (b, a)]:
+        assert x * y == naive_product(x, y)
 
 
 def test_slot_by_slot_packing_matches_double_loop(monkeypatch):
@@ -222,6 +233,76 @@ def test_decompose_rejects_missing_interior_weight():
 def test_decompose_rejects_non_characters(coeffs):
     with pytest.raises(NotACharacterError):
         decompose_character(BivariateCharacter.of(NT, coeffs))
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ({(0, 3): 1, (0, 1): 1, (0, -1): 1}, "not invariant under q -> 1/q"),
+        ({(1, 4): 1, (1, 2): 1, (1, -2): 1, (1, -4): 1}, "gap below t^1 q^2"),
+        ({(0, 2): 2, (0, 0): 1, (0, -2): 2}, "coefficient 1 at t^0 q^0 is below 2 at q^2"),
+    ],
+)
+def test_decompose_rejection_messages(coeffs, message):
+    with pytest.raises(NotACharacterError, match=f"^not a character: {re.escape(message)}$"):
+        decompose_character(BivariateCharacter.of(NT, coeffs))
+
+
+def reference_decompose(c):
+    """The read-off in two passes: the q-symmetry of every monomial first,
+    then the gap and the descent of each monomial with q >= 0."""
+    coeffs = c.coeffs
+    if not all(coeffs.get((t, -q)) == k for (t, q), k in coeffs.items()):
+        raise NotACharacterError("not a character: not invariant under q -> 1/q")
+    terms = {}
+    for (t, q), k in coeffs.items():
+        if q < 0 or not k:
+            continue
+        if q >= 2 and not coeffs.get((t, q - 2)):
+            raise NotACharacterError(f"not a character: gap below t^{t} q^{q}")
+        above = coeffs.get((t, q + 2), 0)
+        if k < above:
+            raise NotACharacterError(
+                f"not a character: coefficient {k} at t^{t} q^{q} is below {above} at q^{q + 2}"
+            )
+        if k > above:
+            terms[c.context.bundle(t, q + 1)] = k - above
+    return BundleSum(c.context, terms)
+
+
+def outcome(f, c):
+    try:
+        return f(c)
+    except NotACharacterError as exc:
+        return str(exc)
+
+
+@given(contexts, st.data())
+@settings(max_examples=300, deadline=None)
+def test_decompose_accepts_exactly_characters(ctx, data):
+    # Mostly not characters (signed, lopsided, gapped), some that are.
+    c = data.draw(st.one_of(
+        laurent_polynomials(ctx),
+        bundle_sums(ctx).map(character),
+        st.tuples(bundle_sums(ctx), bundle_sums(ctx)).map(
+            lambda xy: character(xy[0]) * character(xy[1])),
+    ))
+    result = outcome(decompose_character, c)
+    assert result == outcome(reference_decompose, c)
+    if isinstance(result, BundleSum):
+        assert character(result) == c
+
+
+@pytest.mark.parametrize("torsion", range(7))
+def test_verify_products_read_off_like_double_loop(torsion):
+    # Every character product that `verify --rmax 12` peels, at every probe.
+    ctx = TorsionContext(torsion)
+    for r in range(1, 13):
+        for s in range(1, r + 1):
+            for ea, eb in _VERIFY_PROBES:
+                a = character(BundleSum.single(ctx, ctx.bundle(ea, r)))
+                b = character(BundleSum.single(ctx, ctx.bundle(eb, s)))
+                assert decompose_character(a * b) == decompose_character(naive_product(a, b))
 
 
 @given(contexts, st.data())
