@@ -479,7 +479,26 @@ def test_recurrence_matches_ring_power(ctx, data, big):
     m = data.draw(st.integers(min_value=1, max_value=12 if big else 40))
     # Keep the reference, repeated Clebsch-Gordan products, small.
     assume(_loop_fits(x, m, math.inf, 1 << 17, _spread(x)))
-    assert packed_power(x, m) == ring_power(x, m)
+    expected = ring_power(x, m)
+    assert x.tensor_power(m) == expected
+    if characters._recurrence_plan(x, m)[0] > MAX_LOOP_WORDS:
+        # Its own estimate may pass the cap where products fit (several words
+        # per slot): then it refuses and tensor_power takes the products.
+        with pytest.raises(PowerTooLargeError):
+            packed_power(x, m)
+    else:
+        assert packed_power(x, m) == expected
+
+
+def test_recurrence_refusal_leaves_tensor_power_to_products():
+    # (L^3 + L^-3) * 2^64 F_4, power 11: the recurrence estimates 1079772 word
+    # operations, past MAX_LOOP_WORDS; repeated products write about 55000.
+    x = BundleSum.of(NT, [(NT.bundle(3, 4), 2**64), (NT.bundle(-3, 4), 2**64)])
+    assert characters._recurrence_plan(x, 11)[0] > MAX_LOOP_WORDS
+    assert _loop_fits(x, 11, math.inf, 1 << 17, _spread(x))
+    with pytest.raises(PowerTooLargeError):
+        packed_power(x, 11)
+    assert x.tensor_power(11) == ring_power(x, 11)
 
 
 def test_recurrence_divides_by_zero_divisor_rows():
