@@ -125,17 +125,20 @@ class IndecomposableBundle(tuple):
     def __str__(self) -> str:
         index, exponent = self
         if index == 1:
-            if exponent == 0:
-                return "O"
-            if exponent == 1:
-                return "L"
-            return f"L^{exponent}"
-        fr = f"F_{index}"
-        if exponent == 0:
-            return fr
-        if exponent == 1:
-            return f"L*{fr}"
-        return f"L^{exponent}*{fr}"
+            return _line_name(exponent)
+        return f"{_line_prefix(exponent)}F_{index}"
+
+
+def _line_prefix(exponent: int) -> str:
+    """L^exponent as it stands before F_j in a class name: "", "L*" or "L^e*"."""
+    if exponent == 0:
+        return ""
+    return "L*" if exponent == 1 else f"L^{exponent}*"
+
+
+def _line_name(exponent: int) -> str:
+    """The name of the line class L^exponent: "O", "L" or "L^e"."""
+    return _line_prefix(exponent)[:-1] or "O"
 
 
 def sym_power_f2(k: int) -> IndecomposableBundle:

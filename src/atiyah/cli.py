@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .bundles import TorsionContext
+from .bundles import TorsionContext, _line_name, _line_prefix
 from .characters import oracle_check
 from .classify import (
     ClassificationReport,
@@ -103,6 +103,31 @@ def _cmd_sset(args):
     return (args.rank, args.torsion, args.bound, symbolic, enumerated), 0
 
 
+class _LinePrefixes(dict):
+    """``_line_prefix`` by exponent, each computed on its first lookup."""
+
+    def __missing__(self, exponent: int) -> str:
+        prefix = self[exponent] = _line_prefix(exponent)
+        return prefix
+
+
+def _sset_rows(rows):
+    """Each row ``(j, exponents)`` of an enumerated S-set as ``(heads, tail)``,
+    the names of its members being ``head + tail`` for each head.
+
+    A row of index j >= 2 has the line prefixes as heads, each computed once
+    per distinct exponent over all rows, and F_j as tail; an index-1 row has
+    the line names as heads and no tail.  So a row prints as
+    ``f"{tail}, ".join(heads) + tail``, with no name built per member.
+    """
+    prefixes = _LinePrefixes()
+    for index, exponents in rows:
+        if index == 1:
+            yield [_line_name(e) for e in exponents], ""
+        else:
+            yield list(map(prefixes.__getitem__, exponents)), f"F_{index}"
+
+
 def _sset_to_json(result) -> dict:
     rank, torsion, bound, symbolic, enumerated = result
     return {
@@ -112,7 +137,9 @@ def _sset_to_json(result) -> dict:
             "finite": [str(b) for b in symbolic.finite_part],
             "families": [f.description for f in symbolic.families],
         },
-        "enumerated": [str(b) for b in enumerated],
+        "enumerated": [
+            head + tail for heads, tail in _sset_rows(enumerated) for head in heads
+        ],
     }
 
 
@@ -122,7 +149,9 @@ def _sset_to_text(result) -> str:
     for entry in symbolic.describe():
         lines.append(f"  {entry}")
     lines.append(f"enumerated up to power bound {bound}:")
-    lines.append("  " + ", ".join(str(b) for b in enumerated))
+    lines.append(
+        "  " + ", ".join(f"{tail}, ".join(heads) + tail for heads, tail in _sset_rows(enumerated))
+    )
     return "\n".join(lines)
 
 

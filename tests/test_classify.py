@@ -27,6 +27,7 @@ from atiyah import (
 )
 from atiyah.bundles import component_indices
 from atiyah.classify import MAX_ENUMERATION_STEPS, _enumeration_steps, _p1_enumeration_steps
+from s_sets import reference_s_sets, s_set_members
 
 NT = TorsionContext(0)
 
@@ -201,19 +202,21 @@ def test_s_set_symbolic_is_constant_size_in_the_torsion():
 
 def test_s_set_enumerate_examples():
     ctx1 = TorsionContext(1)
-    assert set(s_set_enumerate(2, 1, 3)) == {
+    assert set(s_set_members(s_set_enumerate(2, 1, 3))) == {
         ctx1.atiyah(1), ctx1.atiyah(2), ctx1.atiyah(3), ctx1.atiyah(4)
     }
     ctx3 = TorsionContext(3)
-    assert set(s_set_enumerate(1, 3, 4)) == {ctx3.line(0), ctx3.line(1), ctx3.line(2)}
-    assert set(s_set_enumerate(1, 1, 5)) == {ctx1.bundle()}
+    assert set(s_set_members(s_set_enumerate(1, 3, 4))) == {
+        ctx3.line(0), ctx3.line(1), ctx3.line(2)
+    }
+    assert set(s_set_members(s_set_enumerate(1, 1, 5))) == {ctx1.bundle()}
 
 
 @pytest.mark.parametrize("rank", range(1, 6))
 @pytest.mark.parametrize("torsion", (0, 1, 2, 3, 4))
 def test_enumeration_matches_structure_law(rank, torsion):
     for bound in (1, 2, 5):
-        enumerated = set(s_set_enumerate(rank, torsion, bound))
+        enumerated = set(s_set_members(s_set_enumerate(rank, torsion, bound)))
         assert enumerated == s_set_reachable(rank, torsion, bound)
         symbolic = s_set_symbolic(rank, torsion)
         assert all(symbolic.contains(b) for b in enumerated)
@@ -240,22 +243,8 @@ def brute_force_s_set(rank, torsion, bound):
 )
 @settings(max_examples=60, deadline=None)
 def test_enumeration_matches_brute_force(rank, torsion, bound):
-    assert set(s_set_enumerate(rank, torsion, bound)) == brute_force_s_set(rank, torsion, bound)
-
-
-def reference_s_sets(rank, torsion, bound):
-    """S-sets up to the power bounds 1, ..., bound, by the set-based expansion
-    that the range propagation replaced: every index of every power is
-    expanded into the indices of the next."""
-    ctx = TorsionContext(torsion)
-    out = set()
-    indices = {rank}
-    for m in range(1, bound + 1):
-        if m > 1:
-            indices = {j for i in indices for j in component_indices(i, rank)}
-        for e in {ctx.reduce_exponent(m), ctx.reduce_exponent(-m)}:
-            out.update(ctx.bundle(e, j) for j in indices)
-        yield out
+    enumerated = set(s_set_members(s_set_enumerate(rank, torsion, bound)))
+    assert enumerated == brute_force_s_set(rank, torsion, bound)
 
 
 @pytest.mark.parametrize("rank", range(1, 13))
@@ -264,7 +253,9 @@ def test_enumeration_matches_set_expansion(rank):
     # are 1..B and n-B..n-1.
     for torsion in (*range(13), 61, 10**9):
         for bound, reference in enumerate(reference_s_sets(rank, torsion, 30), start=1):
-            enumerated = s_set_enumerate(rank, torsion, bound)
+            rows = s_set_enumerate(rank, torsion, bound)
+            assert all(exponents for _, exponents in rows)
+            enumerated = s_set_members(rows)
             assert enumerated == tuple(sorted(reference)), (rank, torsion, bound)
             assert all(a < b for a, b in zip(enumerated, enumerated[1:]))
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atiyah import TorsionContext, evaluate_expression
+from atiyah import TorsionContext, evaluate_expression, s_set_reachable
 from atiyah.cli import main
 from atiyah.schema import (
     DECOMPOSITION_SCHEMA,
@@ -24,6 +24,7 @@ from atiyah.schema import (
     SSET_SCHEMA,
     VERIFY_SCHEMA,
 )
+from s_sets import reference_s_sets
 
 # The schema of each subcommand's --format json payload.
 SCHEMAS = {
@@ -106,6 +107,35 @@ def test_sset_text_and_json_agree(capsys):
     assert payload["enumerated"] == ["O", "F_2", "F_3", "F_4"]
     for term in payload["enumerated"]:
         assert term in text_out
+
+
+def enumerated_line(text_out, bound):
+    """The enumerated members of ``sset`` text output, as printed."""
+    lines = text_out.splitlines()
+    return lines[lines.index(f"enumerated up to power bound {bound}:") + 1]
+
+
+@pytest.mark.parametrize("rank", range(1, 13))
+def test_sset_prints_the_names_of_the_set_expansion(capsys, rank):
+    # The CLI names the members row by row from line prefixes; the reference
+    # is the set-based expansion, each class named by its own __str__.
+    for torsion in (*range(13), 61, 10**9):
+        for bound, reference in enumerate(reference_s_sets(rank, torsion, 30), start=1):
+            names = [str(b) for b in sorted(reference)]
+            argv = ("sset", "--rank", str(rank), "--torsion", str(torsion), "--bound", str(bound))
+            status, text_out, _ = run(capsys, *argv)
+            assert status == 0
+            assert enumerated_line(text_out, bound) == "  " + ", ".join(names), argv
+            status, json_out, _ = run(capsys, *argv, "--format", "json")
+            assert status == 0
+            assert json.loads(json_out)["enumerated"] == names, argv
+
+
+def test_sset_largest_benchmark_job_prints_the_structure_law(capsys):
+    status, out, _ = run(capsys, "sset", "--rank", "7", "--bound", "120", "--torsion", "0")
+    assert status == 0
+    expected = ", ".join(map(str, sorted(s_set_reachable(7, 0, 120))))
+    assert enumerated_line(out, 120) == "  " + expected
 
 
 def test_express_subcommand(capsys):
