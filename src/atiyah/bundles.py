@@ -486,14 +486,10 @@ _RECURRENCE_WORD_NS = 13
 _RECURRENCE_SLOT_NS = 1000
 
 
-def _recurrence_ns(
-    order: int, power: int, words: int, spread: tuple[int, int, int, int, int]
-) -> int:
-    """Estimated nanoseconds of the recurrence for the power of a base with
-    this ``spread`` (``_spread``) over L of this order, for the ``words`` of
-    ``characters._recurrence_plan``."""
-    _, span, _, top, step = spread
-    rows, slots = power * (2 * top // step) // 2 + 1, power * span + 1
+def _recurrence_ns(order: int, words: int, rows: int, slots: int) -> int:
+    """Estimated nanoseconds of the recurrence over L of this order for the
+    ``words``, q-``rows`` and t-``slots`` per row of
+    ``characters._recurrence_plan``; the rows fold to ``order`` slots."""
     if order:
         slots = min(slots, order)
     return _RECURRENCE_NS + _RECURRENCE_WORD_NS * words + _RECURRENCE_SLOT_NS * rows * slots
@@ -579,8 +575,9 @@ class BundleSum(KRingElement):
         nanoseconds: repeated products (``KRingElement.__pow__``) when
         :func:`_loop_fits` finds that they write at most
         :data:`MAX_LOOP_WORDS` words and are no slower than the Miller
-        recurrence on the character (:func:`_recurrence_ns` of
-        ``characters._recurrence_plan``), or that recurrence takes more than
+        recurrence on the character (:func:`_recurrence_ns` of the word
+        operations, q-rows and t-slots that ``characters._recurrence_plan``
+        counts), or that recurrence takes more than
         :data:`MAX_LOOP_WORDS` word operations; else the recurrence of
         :func:`atiyah.characters.character_power` on the same plan, which
         raises :class:`atiyah.characters.PowerTooLargeError` above that
@@ -598,11 +595,11 @@ class BundleSum(KRingElement):
             return base
         from . import characters
 
-        plan = words, _, spread = characters._recurrence_plan(base, power)
+        plan = words, _, spread, rows, slots = characters._recurrence_plan(base, power)
         if words > MAX_LOOP_WORDS:
             recurrence_ns = math.inf  # the recurrence refuses
         else:
-            recurrence_ns = _recurrence_ns(self.context.order, power, words, spread)
+            recurrence_ns = _recurrence_ns(self.context.order, words, rows, slots)
         if _loop_fits(base, power, recurrence_ns, MAX_LOOP_WORDS, spread):
             return KRingElement.__pow__(base, power)
         return BundleSum(self.context, characters._recurrence_power(base, power, plan))

@@ -27,12 +27,14 @@ and when each operand is one run the slots of the one product are the
 result.  It packs coefficients, not brackets, and knows nothing of the
 Clebsch-Gordan rule, which keeps the oracle independent of the formula it
 checks.  :func:`decompose_character` checks q-symmetry, gaps and descents in
-the same single pass that reads the multiplicities off.
+the same single pass that reads the multiplicities off.  Characters are only
+multiplied, so ``BivariateCharacter`` has no sum, scaling or printed form.
 
 :func:`character_power` takes tensor powers by the J.C.P. Miller recurrence
 in q over t-rows packed the same way, one small-by-big product per monomial of
 the base and one exact division per row; ``KRingElement.__pow__`` keeps the
-Clebsch-Gordan route, and ``BundleSum.tensor_power`` chooses by cost.
+Clebsch-Gordan route, and ``BundleSum.tensor_power`` chooses by cost on the
+sizes of :func:`_recurrence_plan`.
 """
 
 from __future__ import annotations
@@ -210,25 +212,10 @@ class BivariateCharacter:
     def zero(cls, context: TorsionContext) -> BivariateCharacter:
         return cls(context, {})
 
-    def _check_context(self, other: BivariateCharacter) -> None:
-        if self.context != other.context:
-            raise ContextMismatchError(
-                f"cannot combine characters over {self.context} and {other.context}"
-            )
-
-    def __add__(self, other: BivariateCharacter) -> BivariateCharacter:
-        self._check_context(other)
-        acc = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            v = acc.get(key, 0) + c
-            if v:
-                acc[key] = v
-            else:
-                del acc[key]
-        return BivariateCharacter(self.context, acc)
-
     def __mul__(self, other):
-        """Scalar multiple, or Laurent product with t-exponents reduced.
+        """Laurent product of two characters over one torsion context, with
+        t-exponents reduced; ``ContextMismatchError`` for two contexts.  Only
+        characters multiply, so a number operand raises ``TypeError``.
 
         The product is computed by Kronecker substitution.  One pass over the
         sorted monomials of each operand (:func:`_runs`) cuts it into runs of
@@ -252,16 +239,12 @@ class BivariateCharacter:
         never looks for brackets and never applies the Clebsch-Gordan rule,
         so :func:`oracle_check` compares two independent computations.
         """
-        if isinstance(other, int):
-            if other == 0:
-                return BivariateCharacter.zero(self.context)
-            return BivariateCharacter(
-                self.context, {k: other * c for k, c in self.coeffs.items()}
-            )
         if not isinstance(other, BivariateCharacter):
             return NotImplemented
-        if self.context is not other.context:
-            self._check_context(other)
+        if self.context is not other.context and self.context != other.context:
+            raise ContextMismatchError(
+                f"cannot combine characters over {self.context} and {other.context}"
+            )
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return BivariateCharacter.zero(self.context)
@@ -306,29 +289,9 @@ class BivariateCharacter:
                     q += step
         return BivariateCharacter(self.context, acc)
 
-    __rmul__ = __mul__
-
     def is_q_symmetric(self) -> bool:
         """Characters of bundle sums are invariant under q -> q^{-1}."""
         return all(self.coeffs.get((t, -q)) == c for (t, q), c in self.coeffs.items())
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (t, q) in sorted(self.coeffs):
-            c = self.coeffs[(t, q)]
-            factors = []
-            if abs(c) != 1 or (t == 0 and q == 0):
-                factors.append(str(abs(c)))
-            if t:
-                factors.append("t" if t == 1 else f"t^{t}")
-            if q:
-                factors.append("q" if q == 1 else f"q^{q}")
-            body = "*".join(factors)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else text
 
 
 def character(x: BundleSum) -> BivariateCharacter:
@@ -398,26 +361,29 @@ def decompose_character(c: BivariateCharacter) -> BundleSum:
     return BundleSum(c.context, terms)
 
 
-def _recurrence_plan(x: BundleSum, power: int) -> tuple[int, int, tuple[int, ...]]:
+def _recurrence_plan(
+    x: BundleSum, power: int
+) -> tuple[int, int, tuple[int, ...], int, int]:
     """(Upper estimate of the word operations, slot width in bytes,
-    ``_spread(x)``) of the recurrence for x^power: each q-step multiplies every
-    monomial of the base outside the lowest q-row by an earlier row of
-    power·span + 1 slots of at least a word, and divides by that row.  That
-    bounds the rest of the work.  ``BundleSum.tensor_power`` plans with it and
-    hands it to :func:`_recurrence_power`, so nothing is computed twice."""
-    spread = _spread(x)
+    ``_spread(x)``, q-rows, t-slots per row) of the recurrence for x^power:
+    each of the power·(2·top // step) // 2 + 1 q-steps up to the middle row
+    multiplies every monomial of the base outside the lowest q-row by an
+    earlier row of power·span + 1 slots of at least a word, and divides by
+    that row.  That bounds the rest of the work.  ``BundleSum.tensor_power``
+    plans with it and hands it to :func:`_recurrence_power`, so nothing is
+    computed twice."""
+    spread = t_lo, span, _, top, step = _spread(x)
+    rows, slots = power * (2 * top // step) // 2 + 1, power * span + 1
     rank = x.rank()
     if rank > 1 and power >> 6 > MAX_LOOP_WORDS:
-        return power >> 6, 0, spread  # every slot holds rank^power >= 2^power
+        return power >> 6, 0, spread, rows, slots  # every slot holds rank^power >= 2^power
     # rank^power has floor(power·log2 rank) + 1 bits; one more absorbs rounding.
     width = _slot_width(int(power * math.log2(rank)) + 2) if rank > 1 else 1
-    t_lo, span, _, top, step = spread
     per_slot = (width + 7) // 8
     lowest = [x.context.reduce_exponent(b.exponent - t_lo) for b in x.terms if b.index == top + 1]
     divisor = (max(lowest) - min(lowest)) * per_slot + 1
     monomials = sum(b.index for b in x.terms) - len(lowest)
-    steps = power * (2 * top // step) // 2 + 1
-    return steps * (monomials + divisor) * (power * span + 1) * per_slot, width, spread
+    return rows * (monomials + divisor) * slots * per_slot, width, spread, rows, slots
 
 
 def _miller(terms: list, a0: int, c0: int, power: int, count: int) -> list[int]:
@@ -427,7 +393,8 @@ def _miller(terms: list, a0: int, c0: int, power: int, count: int) -> list[int]:
     vol. 2, §4.7; Zeilberger, J. Difference Eq. Appl. 1995).  Coefficients may
     be polynomials packed at a power of two: evaluation is a ring homomorphism,
     so every division is exact.  A one-monomial a0 divides as a small integer
-    once its trailing zero bits are shifted off."""
+    once its trailing zero bits are shifted off.  It beats ``pow`` for A_0^m
+    in t, whose squarings all run at the full slot width."""
     zeros = (a0 & -a0).bit_length() - 1
     a0 >>= zeros
     c = [c0]
@@ -458,7 +425,8 @@ def character_power(x: BundleSum, power: int) -> dict[IndecomposableBundle, int]
     The character of x is t^lo·q^(−top)·Σ_j A_j(t)·q^(step·j), line exponents
     lifted to the window of least span, q halved if all have one parity.  Each
     A_j is packed at t = 2^(8·width).  :func:`_miller` gives A_0^power in t,
-    then the rows of the power in q up to the middle, the q >= 0 half by
+    whose coefficients sum to at most rank^power, so each fits its slot; then
+    the rows of the power in q up to the middle, the q >= 0 half by
     q-symmetry.  Over L of order n the rows are folded modulo t^n − 1 only
     then (reduction is a ring homomorphism); each multiplicity of
     :func:`decompose_character` is then a difference of two slots.
@@ -471,11 +439,11 @@ def character_power(x: BundleSum, power: int) -> dict[IndecomposableBundle, int]
 
 
 def _recurrence_power(
-    x: BundleSum, power: int, plan: tuple[int, int, tuple[int, ...]]
+    x: BundleSum, power: int, plan: tuple[int, int, tuple[int, ...], int, int]
 ) -> dict[IndecomposableBundle, int]:
     """:func:`character_power` for the ``plan`` that :func:`_recurrence_plan`
-    made for x and power."""
-    words, width, (t_lo, span, _, top, step) = plan
+    made for x and power: its slot width, spread, q-rows and t-slots."""
+    words, width, (t_lo, _, _, top, step), count, slots = plan
     if words > MAX_LOOP_WORDS:
         raise PowerTooLargeError(
             f"tensor power {power} is too large: it would take more than "
@@ -494,9 +462,8 @@ def _recurrence_power(
     a = [lowest.get(e, 0) for e in range(lo, max(lowest) + 1)]
     in_t = [(j, k, 0) for j, k in enumerate(a) if j and k]
     c0 = _pack(_miller(in_t, a[0], a[0] ** power, power, power * (len(a) - 1) + 1), width)
-    rows = _miller(terms, _pack(a, width) << lo * bits, c0 << power * lo * bits,
-                   power, power * (2 * top // step) // 2 + 1)
-    slots, n = power * span + 1, x.context.order
+    rows = _miller(terms, _pack(a, width) << lo * bits, c0 << power * lo * bits, power, count)
+    n = x.context.order
     if n and slots > n:
         rows = [_fold(row, slots * bits, n * bits) for row in rows]
         slots = n

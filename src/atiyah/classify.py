@@ -333,8 +333,9 @@ def s_set_enumerate(
     The indices come from the Clebsch-Gordan rule on supports alone, as
     ranges propagated power by power (:func:`_s_set_ranges`).  The rows are
     filled index by index from those ranges, taken in exponent order, so
-    nothing is sorted, and no class is built per member: a caller that
-    prints the members can name each line exponent once.
+    only the at most 4B + 2 range keys are sorted, not the members, and no
+    class is built per member: a caller that prints the members can name
+    each line exponent once.
 
     Raises ``ValueError``, before any enumeration, when the work estimated
     by :func:`_enumeration_steps` would exceed :data:`MAX_ENUMERATION_STEPS`.
@@ -350,23 +351,11 @@ def s_set_enumerate(
             f"would take about {steps} steps, above the limit of {MAX_ENUMERATION_STEPS}"
         )
     ranges = _s_set_ranges(rank, torsion, power_bound)
-    # Every reached exponent and a few more, in increasing order: -B..B, or
-    # the residues 1..B and n-B..n-1 modulo n, or 0..n-1 once those overlap.
-    b, n = power_bound, torsion
-    if n == 0:
-        exponents = range(-b, b + 1)
-    elif n <= 2 * b:
-        exponents = range(n)
-    else:
-        exponents = [*range(1, b + 1), *range(n - b, n)]
     top = max(hi for _, hi in ranges.values())
     rows: list[list[int]] = [[] for _ in range(top + 1)]
-    for e in exponents:
-        for parity in (0, 1):
-            bounds = ranges.get((e, parity))
-            if bounds is not None:
-                for j in range(bounds[0], bounds[1] + 1, 2):
-                    rows[j].append(e)
+    for (e, _), (lo, hi) in sorted(ranges.items()):
+        for j in range(lo, hi + 1, 2):
+            rows[j].append(e)
     return tuple((j, tuple(row)) for j, row in enumerate(rows) if row)
 
 

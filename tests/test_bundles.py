@@ -512,6 +512,18 @@ def test_recurrence_divides_by_zero_divisor_rows():
             assert packed_power(x, m) == ring_power(x, m)
 
 
+def test_lowest_row_power_at_the_slot_bound():
+    # The slots of A_0^m hold rank^m: 3 O to the 500th is one coefficient of
+    # exactly 3^500; the coefficients of (2 + 3t + t^2)^200 sum to 6^200, and
+    # modulo t^4 - 1 the folded rows hold those sums.
+    x = sum_of(NT, (3, 0, 1))
+    assert packed_power(x, 500).terms == {NT.line(0): 3**500} == ring_power(x, 500).terms
+    for n in (0, 4):
+        ctx = TorsionContext(n)
+        y = sum_of(ctx, (2, 0, 1), (3, 1, 1), (1, 2, 1))  # 2 O + 3 L + L^2
+        assert packed_power(y, 200) == ring_power(y, 200)
+
+
 def test_f2_power_multiplicities_are_ballot_numbers():
     for m in (300, 5000):  # F_2^5000: too many words for repeated products
         power = BundleSum.single(NT, NT.atiyah(2)).tensor_power(m)

@@ -12,6 +12,7 @@ import atiyah.characters as characters_module
 from atiyah import (
     BivariateCharacter,
     BundleSum,
+    ContextMismatchError,
     NotACharacterError,
     TorsionContext,
     character,
@@ -189,6 +190,25 @@ def test_sparse_product_allocates_for_monomials_not_gaps(x):
     assert peak < 1 << 20  # a slot per exponent in the gap would take 100 MB
 
 
+def test_product_cancelling_between_pairs_of_runs():
+    # (q^0 + q^10)·(q^10 - q^0): two runs each, and the q^10 slots of two
+    # pairs of runs cancel.
+    a = BivariateCharacter.of(NT, {(0, 0): 1, (0, 10): 1})
+    b = BivariateCharacter.of(NT, {(0, 10): 1, (0, 0): -1})
+    assert a * b == naive_product(a, b) == BivariateCharacter.of(NT, {(0, 20): 1, (0, 0): -1})
+
+
+def test_product_takes_two_characters_over_one_context():
+    f2 = character(BundleSum.single(NT, NT.atiyah(2)))
+    ctx = TorsionContext(3)
+    with pytest.raises(ContextMismatchError, match="^cannot combine characters over "):
+        f2 * character(BundleSum.single(ctx, ctx.atiyah(2)))
+    with pytest.raises(TypeError):
+        f2 * 2
+    with pytest.raises(TypeError):
+        2 * f2
+
+
 def test_torsion_exponents_reduced_in_products():
     ctx = TorsionContext(4)
     t3 = character(BundleSum.single(ctx, ctx.line(3)))
@@ -239,6 +259,8 @@ def test_decompose_rejects_non_characters(coeffs):
     "coeffs, message",
     [
         ({(0, 3): 1, (0, 1): 1, (0, -1): 1}, "not invariant under q -> 1/q"),
+        # A gap at q^2 met before the asymmetric t^1 q^1: the asymmetry wins.
+        ({(0, 4): 1, (0, -4): 1, (1, 1): 1}, "not invariant under q -> 1/q"),
         ({(1, 4): 1, (1, 2): 1, (1, -2): 1, (1, -4): 1}, "gap below t^1 q^2"),
         ({(0, 2): 2, (0, 0): 1, (0, -2): 2}, "coefficient 1 at t^0 q^0 is below 2 at q^2"),
     ],
