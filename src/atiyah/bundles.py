@@ -141,6 +141,28 @@ def _line_name(exponent: int) -> str:
     return _line_prefix(exponent)[:-1] or "O"
 
 
+class _LinePrefixes(dict):
+    """``_line_prefix`` by exponent, each computed on its first lookup."""
+
+    def __missing__(self, exponent: int) -> str:
+        prefix = self[exponent] = _line_prefix(exponent)
+        return prefix
+
+
+def sum_text(named: Iterable[tuple[int, str]]) -> str:
+    """The text of a sum from its (coefficient, class name) terms, as
+    :meth:`KRingElement.named_terms` gives them: ``2 F_2 + F_4``,
+    ``-O + 2 F_2``, or ``0`` for no terms."""
+    text = " ".join([
+        (f"+ {name}" if c == 1 else f"+ {c} {name}") if c > 0
+        else (f"- {name}" if c == -1 else f"- {-c} {name}")
+        for c, name in named
+    ])
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def sym_power_f2(k: int) -> IndecomposableBundle:
     """k-th symmetric power of F_2, which is F_{k+1}."""
     if k < 0:
@@ -435,17 +457,29 @@ class KRingElement:
             result = result * self
         return result
 
+    def named_terms(self) -> list[tuple[int, str]]:
+        """(coefficient, class name) of each term, in the order of
+        :meth:`support`.
+
+        The keys are sorted once and each index row is walked once: its
+        tail ``F_j`` is built once, and each line prefix once per exponent
+        over all rows (:class:`_LinePrefixes`), so no class is named on its
+        own.  Index-1 terms are the line names ``O``, ``L``, ``L^e``.
+        """
+        terms = self.terms
+        prefixes = _LinePrefixes()
+        named = []
+        index = tail = None
+        for key in sorted(terms):
+            j, e = key
+            if j != index:
+                index, tail = j, f"F_{j}"
+            named.append((terms[key], prefixes[e] + tail if j > 1 else _line_name(e)))
+        return named
+
     def __str__(self) -> str:
         """Terms by index then exponent, e.g. ``2 F_2 + F_4`` or ``2 F_2 - F_4``."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for b in self.support():
-            c = self.terms[b]
-            sign = "-" if c < 0 else "+"
-            parts.append(f"{sign} {b}" if abs(c) == 1 else f"{sign} {abs(c)} {b}")
-        text = " ".join(parts)
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+        return sum_text(self.named_terms())
 
 
 def _power_sizes(base: BundleSum, power: int, cap: int, spread: tuple[int, int, int, int, int]):

@@ -43,7 +43,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -471,14 +471,20 @@ def _recurrence_power(
     # holds q = power·top − step·k, and q + 2 is the row 2 // step before it.
     data = b"".join(row.to_bytes(slots * width, "little") for row in rows)
     values = _unpack(int.from_bytes(data, "little"), len(rows) * slots, width)
+    # In every t-column, a folded one too, the coefficients of a character
+    # fall away from q = 0: c(e, q) - c(e, q + 2) is a multiplicity, so it is
+    # >= 0.  A zero slot therefore has a zero slot above it and reads off as
+    # no term, and only the nonzero slots are walked.
     above = 2 // step * slots
     result = {}
-    for i, c in enumerate(values):
+    for i in compress(range(len(values)), values):
+        c = values[i]
         if i >= above:
             c -= values[i - above]
         if c:
             k, e = divmod(i, slots)
-            result[IndecomposableBundle(reduce(power * t_lo + e), power * top - step * k + 1)] = c
+            index = power * top - step * k + 1
+            result[_key(IndecomposableBundle, (index, reduce(power * t_lo + e)))] = c
     return result
 
 

@@ -2,7 +2,10 @@
 
 Subcommands: tensor, power, sset, classify, express, verify, grid, p1.
 Reports go to stdout (optionally copied verbatim to --out FILE), diagnostics
-to stderr.  Exit codes: 0 success, 1 usage error, 2 computation error.
+to stderr.  ``--format json`` prints the payload on one line, as the C
+encoder of ``json.dumps`` writes it without ``indent``; pipe it through
+``python -m json.tool`` for an indented view.  Exit codes: 0 success, 1 usage
+error, 2 computation error.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import os
 import sys
 
-from .bundles import TorsionContext, _line_name, _line_prefix
+from .bundles import TorsionContext, _line_name, _LinePrefixes, sum_text
 from .characters import oracle_check
 from .classify import (
     ClassificationReport,
@@ -85,11 +88,12 @@ def _cmd_power(args):
 
 def _decomposition_to_json(decomposition) -> dict:
     expression, torsion, x = decomposition
+    named = x.named_terms()  # named once, for both the terms and the text
     return {
         "expression": expression,
         "torsion": torsion,
-        "terms": [{"multiplicity": x.terms[b], "bundle": str(b)} for b in x.support()],
-        "text": str(x),
+        "terms": [{"multiplicity": c, "bundle": name} for c, name in named],
+        "text": sum_text(named),
     }
 
 
@@ -101,14 +105,6 @@ def _cmd_sset(args):
     symbolic = s_set_symbolic(args.rank, args.torsion)
     enumerated = s_set_enumerate(args.rank, args.torsion, args.bound)
     return (args.rank, args.torsion, args.bound, symbolic, enumerated), 0
-
-
-class _LinePrefixes(dict):
-    """``_line_prefix`` by exponent, each computed on its first lookup."""
-
-    def __missing__(self, exponent: int) -> str:
-        prefix = self[exponent] = _line_prefix(exponent)
-        return prefix
 
 
 def _sset_rows(rows):
@@ -436,7 +432,7 @@ def main(argv=None) -> int:
     try:
         result, status = names[args.handler](args)
         if args.format == "json":
-            output = json.dumps(names[args.to_json](result), indent=2)
+            output = json.dumps(names[args.to_json](result))
         else:
             output = names[args.to_text](result)
     except (_UsageError, ExpressionError) as err:

@@ -512,6 +512,21 @@ def test_recurrence_divides_by_zero_divisor_rows():
             assert packed_power(x, m) == ring_power(x, m)
 
 
+def test_read_off_matches_ring_power_on_two_term_bases():
+    # The read-off walks only the nonzero slots of the rows, so a skipped
+    # slot must read off as no term.  Every L^e*F_r + L^f*F_s with |e|, |f|
+    # <= 2 and r, s <= 4: equal and unequal classes, both q-steps, and over
+    # orders 4 and 6 t-columns that fold.
+    classes = [(e, r) for e in range(-2, 3) for r in range(1, 5)]
+    for n in (0, 1, 4, 6):
+        ctx = TorsionContext(n)
+        for i, (e, r) in enumerate(classes):
+            for f, s in classes[i:]:
+                x = sum_of(ctx, (1, e, r), (1, f, s))
+                for m in range(2, 7):
+                    assert packed_power(x, m) == ring_power(x, m), (n, e, r, f, s, m)
+
+
 def test_lowest_row_power_at_the_slot_bound():
     # The slots of A_0^m hold rank^m: 3 O to the 500th is one coefficient of
     # exactly 3^500; the coefficients of (2 + 3t + t^2)^200 sum to 6^200, and
@@ -746,3 +761,40 @@ def test_signed_str():
     # Non-negative elements print like the bundle sums they are.
     assert str(2 * f2 + KRingElement.single(NT, NT.atiyah(4))) == "2 F_2 + F_4"
     assert str(sum_of(NT, (2, 0, 2), (1, 0, 4))) == "2 F_2 + F_4"
+
+
+def reference_text(x):
+    """The text of a sum as one join over its classes, each named by str."""
+    if not x.terms:
+        return "0"
+    parts = []
+    for b in x.support():
+        c = x.terms[b]
+        sign = "-" if c < 0 else "+"
+        parts.append(f"{sign} {b}" if abs(c) == 1 else f"{sign} {abs(c)} {b}")
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+_SIGNED_COEFFICIENTS = st.one_of(
+    st.sampled_from([1, -1, 2, -2]),
+    st.sampled_from([2**64, -(2**64), 3 * 2**70 + 1, -(2**130 + 7)]),
+    st.integers(-50, 50).filter(bool),
+)
+_NAMED_CLASSES = st.tuples(
+    st.one_of(st.sampled_from([0, 1, -1]), st.integers(-12, 12)),
+    st.one_of(st.just(1), st.integers(2, 12)),
+)
+
+
+@given(contexts, st.lists(st.tuples(_NAMED_CLASSES, _SIGNED_COEFFICIENTS), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_sum_names_match_the_names_of_its_classes(ctx, pairs):
+    x = KRingElement.of(ctx, [(ctx.bundle(e, r), c) for (e, r), c in pairs])
+    assert str(x) == reference_text(x)
+    named = x.named_terms()
+    assert [name for _, name in named] == [str(b) for b in x.support()]
+    assert [c for c, _ in named] == [x.terms[b] for b in x.support()]
+    if all(c > 0 for c in x.terms.values()):
+        y = BundleSum.of(ctx, x.terms)
+        assert str(y) == reference_text(x) and y.named_terms() == named

@@ -214,6 +214,38 @@ def test_json_payload_validates(capsys, argv):
     jsonschema.validate(json.loads(out), SCHEMAS[argv[0]])
 
 
+# One call of each subcommand, with a multi-term decomposition for tensor
+# and power.
+_ONE_CALL_EACH = [
+    ("tensor", "L*F_2 + 2 O + L^-1*F_3^2", "--torsion", "3"),
+    ("power", "L^-1*F_2 + O", "5"),
+    ("sset", "--rank", "3", "--torsion", "4", "--bound", "3"),
+    ("classify", "--rank", "2", "--torsion", "6"),
+    ("express", "--index", "7", "--chain", "odd"),
+    ("verify", "--rmax", "3", "--torsion", "2"),
+    ("grid", "--rmax", "2", "--nmax", "3"),
+    ("p1", "-2", "3", "--bound", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_CALL_EACH, ids=lambda argv: argv[0])
+def test_json_prints_the_rendered_payload_on_one_line(capsys, tmp_path, argv):
+    import atiyah.cli as cli_module
+
+    args = cli_module.build_parser().parse_args([*argv, "--format", "json"])
+    result, status = getattr(cli_module, args.handler)(args)
+    payload = getattr(cli_module, args.to_json)(result)
+    target = tmp_path / "out.json"
+    status_json, out, err = run(capsys, *argv, "--format", "json", "--out", str(target))
+    assert (status_json, err) == (status, "")
+    assert out == json.dumps(payload) + "\n"
+    assert out.count("\n") == 1
+    assert target.read_text(encoding="utf-8") == out
+    if argv[0] in ("tensor", "power"):
+        assert len(payload["terms"]) > 1
+        assert run(capsys, *argv) == (0, payload["text"] + "\n", "")
+
+
 # Small arguments, so that no call runs long: each subcommand's required
 # arguments, then options with values and junk.  No -h/--help (argparse
 # exits on it) and no --out (it writes a file).
@@ -408,7 +440,7 @@ def test_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        # 0.4 MB, 0.4 MB and 4.7 MB of output, each more than a pipe holds.
+        # 0.3 MB, 0.4 MB and 3.1 MB of output, each more than a pipe holds.
         ("sset", "--rank", "2", "--bound", "200", "--format", "json"),
         ("power", "F_2", "2000"),
         ("grid", "--rmax", "200", "--nmax", "200", "--format", "json"),
