@@ -266,11 +266,11 @@ def _cmd_verify(args):
     failures = []  # at most one per pair: its first disagreeing probe
     for r, s in pairs:
         for ea, eb in _VERIFY_PROBES:
-            check = oracle_check(ctx, ctx.bundle(ea, r), ctx.bundle(eb, s))
+            a, b = ctx.bundle(ea, r), ctx.bundle(eb, s)
+            check = oracle_check(ctx, a, b)
             if not check.agrees:
                 failures.append(
-                    f"F_{r} x F_{s}: formula {check.from_formula} "
-                    f"vs oracle {check.from_character}"
+                    f"{a} x {b}: formula {check.from_formula} vs oracle {check.from_character}"
                 )
                 break
     return (len(pairs), len(pairs) - len(failures), failures), 2 if failures else 0

@@ -20,8 +20,8 @@ from atiyah import (
     oracle_check,
     tensor_indec,
 )
-from atiyah.characters import character_power
-from atiyah.cli import _VERIFY_PROBES
+from atiyah.characters import _bracket_row, character_power
+from atiyah.cli import _VERIFY_PROBES, main
 
 NT = TorsionContext(0)
 
@@ -149,6 +149,58 @@ def test_packed_product_matches_double_loop(ctx, data):
     assert a * BivariateCharacter.zero(ctx) == BivariateCharacter.zero(ctx)
 
 
+@st.composite
+def bracket_rows(draw, ctx):
+    """One t-row holding every other q-exponent from its lowest, of either
+    parity, to its highest.  The coefficients are positive (a zero would be a
+    gap) and at most one of 1, 3, ..., 3·2^70, so that product slots of 1, 2,
+    4 and 8 bytes and wider all occur."""
+    t = draw(st.integers(min_value=-8, max_value=8))
+    lo = draw(st.integers(min_value=-40, max_value=40))
+    top = draw(st.sampled_from((1, 3, 2**6, 2**12, 2**28, 2**40, 3 * 2**70)))
+    slots = draw(st.lists(st.integers(min_value=1, max_value=top), min_size=1, max_size=30))
+    return BivariateCharacter.of(ctx, {(t, lo + 2 * i): c for i, c in enumerate(slots)})
+
+
+@pytest.mark.parametrize("formats", ["as is", "emptied"])
+@given(contexts, st.data())
+@settings(max_examples=300, deadline=None)
+def test_bracket_row_product_matches_double_loop(formats, ctx, data):
+    # The packed path on its own: slot widths of 1, 2, 4 and 8 bytes and
+    # wider, read by one cast or, with no one-call formats, slot by slot.
+    a = data.draw(bracket_rows(ctx))
+    b = data.draw(bracket_rows(ctx))
+    assert _bracket_row(a.coeffs) and _bracket_row(b.coeffs)
+    with pytest.MonkeyPatch.context() as patch:
+        if formats == "emptied":
+            patch.setattr(characters_module, "_FORMATS", {})
+        assert a * b == naive_product(a, b)
+
+
+def test_verify_and_oracle_products_take_the_packed_path(monkeypatch, capsys):
+    # Every product that verify and oracle_check make multiplies two bracket
+    # rows, so none of them falls back to the plain loop.
+    seen, declined = [], []
+
+    def watched(coeffs):
+        row = _bracket_row(coeffs)
+        (seen if row else declined).append(dict(coeffs))
+        return row
+
+    monkeypatch.setattr(characters_module, "_bracket_row", watched)
+    for torsion in range(7):
+        assert main(["verify", "--rmax", "12", "--torsion", str(torsion)]) == 0
+    capsys.readouterr()
+    assert len(seen) == 2 * 7 * 3 * 78
+    rng = random.Random(16)
+    for _ in range(200):
+        ctx = TorsionContext(rng.randrange(7))
+        a, b = (ctx.bundle(rng.randint(-9, 9), rng.randint(1, 60)) for _ in range(2))
+        assert oracle_check(ctx, a, b).agrees
+    assert len(seen) == 2 * (7 * 3 * 78 + 200)
+    assert declined == []
+
+
 @pytest.mark.parametrize("qs", [(0, 1, 4), (0, 3, 4), (-3, 0, 1, 3), (0, 2, 4), (5, 7)])
 def test_product_of_one_row_spanning_like_a_bracket(qs):
     # n q-exponents of one t-row spanning 2n - 2, every other one or not.
@@ -160,12 +212,16 @@ def test_product_of_one_row_spanning_like_a_bracket(qs):
 
 def test_slot_by_slot_packing_matches_double_loop(monkeypatch):
     # With no one-call formats (as on a big-endian machine) every slot width
-    # is packed and read slot by slot.
+    # is packed and read slot by slot.  Only the bracket rows are packed; f
+    # (two t-rows) and the signed operand take the plain loop.
     monkeypatch.setattr(characters_module, "_FORMATS", {})
     ctx = TorsionContext(3)
     f = character(BundleSum.of(ctx, [(ctx.bundle(1, 40), 3), (ctx.bundle(2, 7), 1)]))
     signed = BivariateCharacter.of(ctx, {(0, 0): -(2**20), (1, 3): 5, (2, -1): -7})
-    for a, b in [(f, f), (f, signed), (signed, signed)]:
+    row = BivariateCharacter.of(ctx, {(1, q): 2**20 + q for q in range(-39, 40, 2)})
+    wide = BivariateCharacter.of(ctx, {(2, q): 3 * 2**70 - q for q in range(-6, 7, 2)})
+    assert _bracket_row(row.coeffs) and _bracket_row(wide.coeffs)
+    for a, b in [(row, row), (row, wide), (wide, wide), (f, f), (f, signed), (signed, signed)]:
         assert a * b == naive_product(a, b)
     x = BundleSum.of(ctx, [(ctx.bundle(1, 3), 1), (ctx.bundle(0, 2), 2)])
     assert BundleSum(ctx, character_power(x, 5)) == x.tensor(x).tensor(x).tensor(x).tensor(x)

@@ -477,7 +477,7 @@ def test_unknown_subcommand(capsys):
 def test_verify_mismatch_exits_two(capsys, monkeypatch):
     # The math never disagrees, so force a mismatch to pin the CI gate.
     import atiyah.cli as cli_module
-    from atiyah import BundleSum, OracleCheck
+    from atiyah import BundleSum, OracleCheck, oracle_check
 
     def broken_oracle(ctx, a, b):
         formula = BundleSum.single(ctx, ctx.bundle(a.exponent + b.exponent, 1))
@@ -492,6 +492,48 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
     payload = json.loads(out)
     jsonschema.validate(payload, VERIFY_SCHEMA)
     assert (payload["ok"], len(payload["failures"])) == (False, 3)
+
+    # A failure at the twisted probe (1, -1) names the two twisted classes.
+    def twisted_oracle(ctx, a, b):
+        check = oracle_check(ctx, a, b)
+        if (a.exponent, b.exponent) != (1, -1):
+            return check
+        return OracleCheck(False, check.from_formula, BundleSum.zero(ctx))
+
+    monkeypatch.setattr(cli_module, "oracle_check", twisted_oracle)
+    status, out, _ = run(capsys, "verify", "--rmax", "3")
+    assert status == 2
+    assert out.splitlines() == [
+        "oracle agreement 0/6 pairs",
+        "L x L^-1: formula O vs oracle 0",
+        "L*F_2 x L^-1: formula F_2 vs oracle 0",
+        "L*F_2 x L^-1*F_2: formula O + F_3 vs oracle 0",
+        "L*F_3 x L^-1: formula F_3 vs oracle 0",
+        "L*F_3 x L^-1*F_2: formula F_2 + F_4 vs oracle 0",
+        "L*F_3 x L^-1*F_3: formula O + F_3 + F_5 vs oracle 0",
+    ]
+    status, out, _ = run(capsys, "verify", "--rmax", "3", "--format", "json")
+    assert status == 2
+    assert json.loads(out)["failures"][4] == "L*F_3 x L^-1*F_2: formula F_2 + F_4 vs oracle 0"
+
+
+def test_breaking_the_packed_character_product_exits_two(capsys, monkeypatch):
+    # Shift every slot that the packed product reads back by one: the oracle
+    # route then yields a Laurent polynomial that is no character, and
+    # verify must fail with exit 2 and a message, never agree.
+    import atiyah.characters as characters_module
+
+    unpack = characters_module._unpack
+
+    def shifted(v, count, width):
+        return [0, *unpack(v, count, width)[:-1]]
+
+    monkeypatch.setattr(characters_module, "_unpack", shifted)
+    for fmt in ("text", "json"):
+        status, out, err = run(capsys, "verify", "--rmax", "4", "--format", fmt)
+        assert status == 2
+        assert out == ""
+        assert err == "error: not a character: not invariant under q -> 1/q\n"
 
 
 def test_out_to_unwritable_path_is_a_computation_error(capsys, tmp_path):
