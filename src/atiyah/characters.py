@@ -14,22 +14,27 @@ product follows the Clebsch-Gordan rule, this reproduces the bundle tensor
 product without ever invoking it, so agreement between the two routes is a
 genuine cross-check.
 
-Both the product and the powers multiply Laurent polynomials by Kronecker
+Products, ``verify`` and powers all multiply Laurent polynomials by Kronecker
 substitution (Harvey, "Faster polynomial multiplication via multipoint
 Kronecker substitution", J. Symbolic Comput. 2009): coefficients go into
 fixed-width slots of one Python integer (:func:`_pack`), big-integer
 arithmetic does the convolution, and :func:`_unpack` reads the slots back.
 ``BivariateCharacter.__mul__`` has two paths.  Two bracket rows (one t-row
 holding every other q-exponent, coefficients >= 0: the character of one
-class, so both factors of every :func:`oracle_check` and ``verify`` product)
-are packed with a slot per other q-exponent, and the slots of the one
-integer product are the result.  Any other operands take the plain double
-loop over monomial pairs, O(n·m) for n and m monomials (on one core of a
-shared Xeon, 30-45 ms to square the 400 of F_200 + L·F_200).  Neither path
-knows the Clebsch-Gordan rule, which keeps the oracle independent of the
-formula it checks.  :func:`decompose_character` checks q-symmetry, gaps and
-descents in the one pass that reads the multiplicities off.  Characters are
-only multiplied, so ``BivariateCharacter`` has no sum, scaling or printed form.
+class, so both factors of every :func:`oracle_check` product) are packed
+with a slot per other q-exponent, and the slots of the one integer product
+are the result.  Any other operands take the plain double loop over
+monomial pairs, O(n·m) for n and m monomials (on one core of a shared Xeon,
+30-45 ms to square the 400 of F_200 + L·F_200).  Neither path knows the
+Clebsch-Gordan rule, which keeps the oracle independent of the formula it
+checks.  :func:`decompose_character` checks q-symmetry, gaps and descents in
+the one pass that reads the multiplicities off.  Characters are only
+multiplied, so ``BivariateCharacter`` has no sum, scaling or printed form.
+
+``verify`` makes no ``BivariateCharacter`` product: :func:`_verify_pairs`
+packs every bracket up to ``--rmax`` into each of two integers, at strides
+that keep every pair's product in its own block of slots, and reads every
+pair off the one integer product.
 
 :func:`character_power` takes tensor powers by the J.C.P. Miller recurrence
 in q over t-rows packed the same way, one small-by-big product per monomial of
@@ -97,6 +102,29 @@ def _unpack(v: int, count: int, width: int) -> Sequence[int]:
         int.from_bytes(data[at:at + width], "little")
         for at in range(0, count * width, width)
     ]
+
+
+def _differences(
+    values: Sequence[int], start: int, stop: int, above: int
+) -> list[tuple[int, int]]:
+    """(i, values[i] − values[i − above]) for each slot start <= i < stop
+    whose value and difference are nonzero, a slot below 0 reading as 0: the
+    multiplicities c(e, w) − c(e, w + 2) of packed character coefficients,
+    slot i − ``above`` holding the coefficient one q-step further from 0.
+
+    In every t-column, a folded one too, the coefficients of a character
+    fall away from q = 0: c(e, q) − c(e, q + 2) is a multiplicity, so it is
+    >= 0.  A zero slot therefore has a zero slot above it and reads off as
+    no term, and only the nonzero slots are walked.
+    """
+    found = []
+    for i in compress(range(start, stop), values[start:stop]):
+        c = values[i]
+        if i >= above:
+            c -= values[i - above]
+        if c:
+            found.append((i, c))
+    return found
 
 
 _q_exponent = itemgetter(1)
@@ -167,10 +195,10 @@ class BivariateCharacter:
         characters multiply, so a number operand raises ``TypeError``.
 
         Two bracket rows (:func:`_bracket_row`), as the two factors of every
-        :func:`oracle_check` and so of every ``verify`` product are, multiply
-        by Kronecker substitution: each row's coefficients go into one
-        integer with a slot per other q-exponent, and the slots of the one
-        integer product are the product row.  No product coefficient exceeds
+        :func:`oracle_check` product are, multiply by Kronecker substitution:
+        each row's coefficients go into one integer with a slot per other
+        q-exponent, and the slots of the one integer product are the product
+        row (``verify`` makes no such product).  No product coefficient exceeds
         min(‖a‖₁·‖b‖∞, ‖a‖∞·‖b‖₁), so slots of that many bits never carry, and
         [r]·[s] costs one big-integer product plus O(r + s) interpreter steps,
         not r·s.  Any other operands (gaps, both q-parities, several t-rows,
@@ -391,20 +419,11 @@ def _recurrence_power(
     # holds q = power·top − step·k, and q + 2 is the row 2 // step before it.
     data = b"".join(row.to_bytes(slots * width, "little") for row in rows)
     values = _unpack(int.from_bytes(data, "little"), len(rows) * slots, width)
-    # In every t-column, a folded one too, the coefficients of a character
-    # fall away from q = 0: c(e, q) - c(e, q + 2) is a multiplicity, so it is
-    # >= 0.  A zero slot therefore has a zero slot above it and reads off as
-    # no term, and only the nonzero slots are walked.
-    above = 2 // step * slots
     result = {}
-    for i in compress(range(len(values)), values):
-        c = values[i]
-        if i >= above:
-            c -= values[i - above]
-        if c:
-            k, e = divmod(i, slots)
-            index = power * top - step * k + 1
-            result[_key(IndecomposableBundle, (index, reduce(power * t_lo + e)))] = c
+    for i, c in _differences(values, 0, len(values), 2 // step * slots):
+        k, e = divmod(i, slots)
+        index = power * top - step * k + 1
+        result[_key(IndecomposableBundle, (index, reduce(power * t_lo + e)))] = c
     return result
 
 
@@ -430,3 +449,82 @@ def oracle_check(
     product = character(BundleSum(context, {a: 1})) * character(BundleSum(context, {b: 1}))
     peeled = decompose_character(product)
     return OracleCheck(formula == peeled, formula, peeled)
+
+
+def _verify_pairs(
+    context: TorsionContext, rmax: int, probes: Sequence[tuple[int, int]]
+) -> list[tuple[IndecomposableBundle, IndecomposableBundle, BundleSum,
+                BundleSum | NotACharacterError]]:
+    """Check ``tensor_indec`` against the character route for every pair
+    F_r, F_s with s <= r <= rmax, twisted by each probe (ea, eb) in turn, and
+    return (a, b, formula, oracle) for the first probe at which a pair
+    disagrees, a = L^ea ⊗ F_r and b = L^eb ⊗ F_s: the oracle side is
+    :func:`decompose_character` of the pair's product, or the
+    :class:`NotACharacterError` it raised.
+
+    One big-integer product holds every pair's character product (Kronecker
+    substitution in two more variables, Harvey 2009).  With y = q², the
+    bracket [r]_q is q^(1−r)·Σ_{i<r} y^i, and A = Σ_r u^r·Σ_{i<r} y^i and
+    B = Σ_s v^s·Σ_{j<s} y^j are packed with a slot per power of y, u = y^S1
+    for S1 = 2·rmax slots and v = y^S2 for S2 = (rmax + 1)·S1.  In A·B, the
+    block of [r]_q·[s]_q starts at slot r·S1 + s·S2 and has r + s − 1 < S1
+    slots; r + s·(rmax + 1) differs for every pair, so no two blocks meet,
+    and the slot before each block is zero.  No coefficient of [r]_q·[s]_q
+    exceeds min(r, s), so slots of rmax's bits never carry.  Each factor is
+    one t-row, so the product is the same at every probe, which only labels
+    it with the line exponent ea + eb.
+
+    A block agrees with the formula when it is a palindrome (q-symmetric),
+    holds no zero slot (a character has none inside its span, which the walk
+    of :func:`_differences` relies on), and the multiplicities read off its
+    lower half, a slot minus the one before it, are the formula's terms.
+    Neither the packing nor the read-off applies the Clebsch-Gordan rule.
+    """
+    reduce = context.reduce_exponent
+    width = _slot_width(rmax.bit_length())
+    s1 = 2 * rmax
+    s2 = (rmax + 1) * s1
+    count = rmax * (s1 + s2) + 2 * rmax - 1
+    values = _unpack(_packed_brackets(rmax, s1, width) * _packed_brackets(rmax, s2, width),
+                     count, width)
+    failures = []
+    for r in range(1, rmax + 1):
+        for s in range(1, r + 1):
+            start, n = r * s1 + s * s2, r + s - 1
+            block = values[start:start + n]
+            sound = block == block[::-1] and 0 not in block
+            # Slot i of the lower half reads off as F_(n + 2·start − 2·i).
+            top = n + 2 * start
+            read = {top - 2 * i: c for i, c in _differences(values, start, start + (n + 1) // 2, 1)}
+            for ea, eb in probes:
+                x, y = context.bundle(ea, r), context.bundle(eb, s)
+                formula = tensor_indec(context, x, y)
+                t = reduce(ea + eb)
+                # A class equals its plain pair (index, exponent).
+                if not (sound and formula.terms == dict(zip(zip(read, repeat(t)), read.values()))):
+                    failures.append((x, y, formula, _block_decomposition(context, block, t)))
+                    break
+    return failures
+
+
+def _packed_brackets(rmax: int, stride: int, width: int) -> int:
+    """Σ_{r <= rmax} z^r·Σ_{i<r} y^i for z = y^stride, in slots of ``width``
+    bytes, one per power of y, joined from its bytes with no list of slots:
+    stride − r + 1 zero slots below z^r, then r ones."""
+    one = (1).to_bytes(width, "little")
+    data = b"".join(bytes((stride - r + 1) * width) + one * r for r in range(1, rmax + 1))
+    return int.from_bytes(data, "little")
+
+
+def _block_decomposition(
+    context: TorsionContext, block: Sequence[int], t: int
+) -> BundleSum | NotACharacterError:
+    """:func:`decompose_character` of the t-row whose coefficients from the
+    lowest q-exponent up, every other one, are ``block``, symmetric about
+    q = 0 in span; the error it raises, if the row is no character."""
+    n = len(block)
+    row = {(t, q): c for q, c in zip(range(1 - n, n, 2), block) if c}
+    try:
+        return decompose_character(BivariateCharacter(context, row))
+    except NotACharacterError as err:
+        return err

@@ -20,7 +20,7 @@ from atiyah import (
     oracle_check,
     tensor_indec,
 )
-from atiyah.characters import _bracket_row, character_power
+from atiyah.characters import _bracket_row, _verify_pairs, character_power
 from atiyah.cli import _VERIFY_PROBES, main
 
 NT = TorsionContext(0)
@@ -178,9 +178,24 @@ def test_bracket_row_product_matches_double_loop(formats, ctx, data):
 
 
 def test_verify_and_oracle_products_take_the_packed_path(monkeypatch, capsys):
-    # Every product that verify and oracle_check make multiplies two bracket
-    # rows, so none of them falls back to the plain loop.
-    seen, declined = [], []
+    # verify reads every pair off its one packed product: when every pair
+    # agrees, it makes no character product and calls no oracle_check.
+    # Every product that oracle_check makes multiplies two bracket rows, so
+    # none of them falls back to the plain loop.
+    calls, seen, declined = [], [], []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(BivariateCharacter, "__mul__", counted(BivariateCharacter.__mul__))
+    monkeypatch.setattr(characters_module, "oracle_check", counted(oracle_check))
+    for torsion in range(7):
+        assert main(["verify", "--rmax", "12", "--torsion", str(torsion)]) == 0
+    capsys.readouterr()
+    assert calls == []
 
     def watched(coeffs):
         row = _bracket_row(coeffs)
@@ -188,17 +203,40 @@ def test_verify_and_oracle_products_take_the_packed_path(monkeypatch, capsys):
         return row
 
     monkeypatch.setattr(characters_module, "_bracket_row", watched)
-    for torsion in range(7):
-        assert main(["verify", "--rmax", "12", "--torsion", str(torsion)]) == 0
-    capsys.readouterr()
-    assert len(seen) == 2 * 7 * 3 * 78
     rng = random.Random(16)
     for _ in range(200):
         ctx = TorsionContext(rng.randrange(7))
         a, b = (ctx.bundle(rng.randint(-9, 9), rng.randint(1, 60)) for _ in range(2))
         assert oracle_check(ctx, a, b).agrees
-    assert len(seen) == 2 * (7 * 3 * 78 + 200)
+    assert len(seen) == 2 * 200
     assert declined == []
+
+
+@pytest.mark.parametrize("torsion", range(7))
+def test_packed_verify_reads_off_what_oracle_check_peels(torsion, monkeypatch):
+    # The read-off of verify's one packed product, at every pair F_r, F_s
+    # (s <= r <= R) and probe, for every R <= 30, equals what oracle_check
+    # peels off that pair's own character product: with the formula side
+    # replaced by oracle_check's from_character, every pair agrees at every
+    # probe.  A stride that lets blocks meet or a block read one slot off
+    # breaks this.
+    ctx = TorsionContext(torsion)
+    peeled = {
+        (a, b): oracle_check(ctx, a, b).from_character
+        for r in range(1, 31) for s in range(1, r + 1)
+        for a, b in ((ctx.bundle(ea, r), ctx.bundle(eb, s)) for ea, eb in _VERIFY_PROBES)
+    }
+    compared = []
+
+    def from_character(context, a, b):
+        compared.append((a, b))
+        return peeled[a, b]
+
+    monkeypatch.setattr(characters_module, "tensor_indec", from_character)
+    for rmax in range(1, 31):
+        compared.clear()
+        assert _verify_pairs(ctx, rmax, _VERIFY_PROBES) == []
+        assert len(compared) == len(_VERIFY_PROBES) * rmax * (rmax + 1) // 2
 
 
 @pytest.mark.parametrize("qs", [(0, 1, 4), (0, 3, 4), (-3, 0, 1, 3), (0, 2, 4), (5, 7)])

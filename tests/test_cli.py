@@ -475,18 +475,25 @@ def test_unknown_subcommand(capsys):
 
 
 def test_verify_mismatch_exits_two(capsys, monkeypatch):
-    # The math never disagrees, so force a mismatch to pin the CI gate.
-    import atiyah.cli as cli_module
-    from atiyah import BundleSum, OracleCheck, oracle_check
+    # The math never disagrees, so force a mismatch to pin the CI gate: break
+    # the formula side where verify's packed route looks it up.
+    import atiyah.characters as characters_module
+    from atiyah import BundleSum
 
-    def broken_oracle(ctx, a, b):
-        formula = BundleSum.single(ctx, ctx.bundle(a.exponent + b.exponent, 1))
-        return OracleCheck(False, formula, BundleSum.zero(ctx))
+    tensor_indec = characters_module.tensor_indec
 
-    monkeypatch.setattr(cli_module, "oracle_check", broken_oracle)
+    def broken_formula(ctx, a, b):
+        return BundleSum.zero(ctx)
+
+    monkeypatch.setattr(characters_module, "tensor_indec", broken_formula)
     status, out, _ = run(capsys, "verify", "--rmax", "2")
     assert status == 2
-    assert "oracle agreement 0/3 pairs" in out
+    assert out.splitlines() == [
+        "oracle agreement 0/3 pairs",
+        "O x O: formula 0 vs oracle O",
+        "F_2 x O: formula 0 vs oracle F_2",
+        "F_2 x F_2: formula 0 vs oracle O + F_3",
+    ]
     status, out, _ = run(capsys, "verify", "--rmax", "2", "--format", "json")
     assert status == 2
     payload = json.loads(out)
@@ -494,33 +501,32 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
     assert (payload["ok"], len(payload["failures"])) == (False, 3)
 
     # A failure at the twisted probe (1, -1) names the two twisted classes.
-    def twisted_oracle(ctx, a, b):
-        check = oracle_check(ctx, a, b)
+    def twisted_formula(ctx, a, b):
         if (a.exponent, b.exponent) != (1, -1):
-            return check
-        return OracleCheck(False, check.from_formula, BundleSum.zero(ctx))
+            return tensor_indec(ctx, a, b)
+        return BundleSum.zero(ctx)
 
-    monkeypatch.setattr(cli_module, "oracle_check", twisted_oracle)
+    monkeypatch.setattr(characters_module, "tensor_indec", twisted_formula)
     status, out, _ = run(capsys, "verify", "--rmax", "3")
     assert status == 2
     assert out.splitlines() == [
         "oracle agreement 0/6 pairs",
-        "L x L^-1: formula O vs oracle 0",
-        "L*F_2 x L^-1: formula F_2 vs oracle 0",
-        "L*F_2 x L^-1*F_2: formula O + F_3 vs oracle 0",
-        "L*F_3 x L^-1: formula F_3 vs oracle 0",
-        "L*F_3 x L^-1*F_2: formula F_2 + F_4 vs oracle 0",
-        "L*F_3 x L^-1*F_3: formula O + F_3 + F_5 vs oracle 0",
+        "L x L^-1: formula 0 vs oracle O",
+        "L*F_2 x L^-1: formula 0 vs oracle F_2",
+        "L*F_2 x L^-1*F_2: formula 0 vs oracle O + F_3",
+        "L*F_3 x L^-1: formula 0 vs oracle F_3",
+        "L*F_3 x L^-1*F_2: formula 0 vs oracle F_2 + F_4",
+        "L*F_3 x L^-1*F_3: formula 0 vs oracle O + F_3 + F_5",
     ]
     status, out, _ = run(capsys, "verify", "--rmax", "3", "--format", "json")
     assert status == 2
-    assert json.loads(out)["failures"][4] == "L*F_3 x L^-1*F_2: formula F_2 + F_4 vs oracle 0"
+    assert json.loads(out)["failures"][4] == "L*F_3 x L^-1*F_2: formula 0 vs oracle F_2 + F_4"
 
 
 def test_breaking_the_packed_character_product_exits_two(capsys, monkeypatch):
-    # Shift every slot that the packed product reads back by one: the oracle
-    # route then yields a Laurent polynomial that is no character, and
-    # verify must fail with exit 2 and a message, never agree.
+    # Shift every slot that the packed product reads back by one: each
+    # pair's block is then no character product, and verify must report
+    # every pair as a failure line and exit 2, never agree or stop early.
     import atiyah.characters as characters_module
 
     unpack = characters_module._unpack
@@ -529,11 +535,21 @@ def test_breaking_the_packed_character_product_exits_two(capsys, monkeypatch):
         return [0, *unpack(v, count, width)[:-1]]
 
     monkeypatch.setattr(characters_module, "_unpack", shifted)
-    for fmt in ("text", "json"):
-        status, out, err = run(capsys, "verify", "--rmax", "4", "--format", fmt)
-        assert status == 2
-        assert out == ""
-        assert err == "error: not a character: not invariant under q -> 1/q\n"
+    asymmetric = "vs oracle not a character: not invariant under q -> 1/q"
+    status, out, err = run(capsys, "verify", "--rmax", "4")
+    assert (status, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[0] == "oracle agreement 0/10 pairs"
+    assert len(lines) == 11
+    assert lines[1] == "O x O: formula O vs oracle 0"  # one slot, the zero before it
+    assert lines[5] == f"F_3 x F_2: formula F_2 + F_4 {asymmetric}"
+    assert all(line.endswith(asymmetric) for line in lines[2:])
+    status, out, err = run(capsys, "verify", "--rmax", "4", "--format", "json")
+    assert (status, err) == (2, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, VERIFY_SCHEMA)
+    assert (payload["pairs"], payload["agreements"], payload["ok"]) == (10, 0, False)
+    assert payload["failures"] == lines[1:]
 
 
 def test_out_to_unwritable_path_is_a_computation_error(capsys, tmp_path):
