@@ -604,7 +604,9 @@ class BundleSum(KRingElement):
         """|power|-fold tensor power, dualizing first for negative powers.
 
         The zeroth power is O by the empty-product convention, and the first
-        is the sum itself.  Every other power follows one plan, made from the
+        is the sum itself.  One line class L^e, of multiplicity 1, is powered
+        in closed form ahead of the plan: its m-th power is L^(e·m), e taken
+        after dualizing.  Every other power follows one plan, made from the
         terms alone before any arithmetic, in one unit, estimated
         nanoseconds: repeated products (``KRingElement.__pow__``) when
         :func:`_loop_fits` finds that they write at most
@@ -627,6 +629,10 @@ class BundleSum(KRingElement):
         power = abs(power)
         if power == 1:
             return base
+        if len(base.terms) == 1:
+            ((index, exponent), mult), = base.terms.items()
+            if index == 1 and mult == 1:  # (L^e)^m = L^(e·m)
+                return BundleSum(self.context, {self.context.line(exponent * power): 1})
         from . import characters
 
         plan = words, _, spread, rows, slots = characters._recurrence_plan(base, power)

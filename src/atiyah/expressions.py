@@ -13,13 +13,21 @@ Whitespace is insignificant.  A leading integer in a term is a multiplicity
 "2 F_2 + F_4" re-parse to the sum they came from.  Powers may be negative;
 they act through the dual.  Parentheses nest at most ``MAX_NESTING`` deep,
 which also bounds the depth of the expression tree.
+
+The source is tokenized by one compiled pattern into (kind, value,
+position) tuples.  A sum is accumulated once: every part's terms, a ``k X``
+part's times k, are added into one dict that becomes one
+:class:`BundleSum`.  Products go through ``BundleSum.tensor``,
+with its size check, and powers through ``BundleSum.tensor_power``, which
+powers one line class ``L^e`` in closed form ahead of its plan.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .bundles import BundleSum, TorsionContext
+from .bundles import BundleSum, IndecomposableBundle, TorsionContext
 
 MAX_NESTING = 100
 
@@ -32,47 +40,37 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: int | None
-    position: int
-
+# A token is a plain tuple (kind, value, position): value is the integer of
+# an "int" token and None otherwise, position its offset in the source.
+Token = tuple[str, int | None, int]
 
 _PUNCT = {"+": "plus", "*": "star", "^": "caret", "(": "lparen", ")": "rparen",
-          "-": "minus", "_": "underscore"}
+          "-": "minus", "_": "underscore", "O": "O", "L": "L", "F": "F"}
+
+# One alternative per token class: a run of decimal digits, one grammar
+# character, whitespace, or any other character.  Over str, \d and \s match
+# exactly the characters that str.isdecimal and str.isspace accept.
+_TOKEN = re.compile(r"(\d+)|([-+*^()_OLF])|\s+|(.)")
 
 
 def _tokenize(src: str) -> list[Token]:
     tokens = []
-    i, size = 0, len(src)
-    while i < size:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            start = i
-            while i < size and src[i].isdecimal():
-                i += 1
+    append = tokens.append
+    for match in _TOKEN.finditer(src):
+        digits, punct, junk = match.groups()
+        if punct is not None:
+            append((_PUNCT[punct], None, match.start()))
+        elif digits is not None:
             try:
-                value = int(src[start:i])
+                value = int(digits)
             except ValueError:  # more digits than int() may convert
                 raise ExpressionError(
-                    f"integer literal of {i - start} digits is too long", start
+                    f"integer literal of {len(digits)} digits is too long", match.start()
                 ) from None
-            tokens.append(Token("int", value, start))
-            continue
-        if ch in "OLF":
-            tokens.append(Token(ch, None, i))
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], None, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", None, size))
+            append(("int", value, match.start()))
+        elif junk is not None:
+            raise ExpressionError(f"unexpected character {junk!r}", match.start())
+    append(("end", None, len(src)))
     return tokens
 
 
@@ -142,10 +140,20 @@ class Sum(Expression):
     parts: tuple[Expression, ...]
 
     def evaluate(self, context):
-        result = self.parts[0].evaluate(context)
-        for p in self.parts[1:]:
-            result = result + p.evaluate(context)
-        return result
+        """Every part's terms added into one dict, a ``k X`` part as k times
+        the terms of X.  Each part is evaluated, ``0 X`` too, so that X's
+        errors still surface; coefficients are >= 0, so no zero is stored."""
+        acc: dict[IndecomposableBundle, int] = {}
+        get = acc.get
+        for part in self.parts:
+            count = 1
+            if type(part) is Repeat:
+                count, part = part.count, part.inner
+            terms = part.evaluate(context).terms
+            if count:
+                for b, c in terms.items():
+                    acc[b] = get(b, 0) + count * c
+        return BundleSum(context, acc)
 
 
 # -- parser ---------------------------------------------------------------
@@ -159,47 +167,51 @@ class _Parser:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
+    def kind(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
+
     def take(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.take()
-        if tok.kind != kind:
-            raise ExpressionError(f"expected {what}", tok.position)
+        tok = found, _, position = self.take()
+        if found != kind:
+            raise ExpressionError(f"expected {what}", position)
         return tok
 
     def parse(self) -> Expression:
         expr = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError("unexpected trailing input", tok.position)
+        kind, _, position = self.peek()
+        if kind != "end":
+            raise ExpressionError("unexpected trailing input", position)
         return expr
 
     def expr(self) -> Expression:
         parts = [self.term()]
-        while self.peek().kind == "plus":
+        while self.kind() == "plus":
             self.take()
             parts.append(self.term())
         return parts[0] if len(parts) == 1 else Sum(tuple(parts))
 
     def term(self) -> Expression:
-        if self.peek().kind == "int":
-            count_tok = self.take()
-            nxt = self.peek().kind
+        if self.kind() == "int":
+            count = self.take()[1]
+            nxt = self.kind()
             if nxt == "star":
                 self.take()
-                return Repeat(count_tok.value, self.factors())
+                return Repeat(count, self.factors())
             if nxt in ("O", "L", "F", "lparen"):
-                return Repeat(count_tok.value, self.factors())
+                return Repeat(count, self.factors())
             # Bare integer: that many copies of O.
-            return Repeat(count_tok.value, Trivial())
+            return Repeat(count, Trivial())
         return self.factors()
 
     def factors(self) -> Expression:
         fs = [self.factor()]
-        while self.peek().kind == "star":
+        while self.kind() == "star":
             self.take()
             fs.append(self.factor())
         return fs[0] if len(fs) == 1 else Product(tuple(fs))
@@ -207,52 +219,51 @@ class _Parser:
     def factor(self) -> Expression:
         node = self.primary()
         exponents = []
-        while self.peek().kind == "caret":
+        while self.kind() == "caret":
             self.take()
             sign = 1
-            if self.peek().kind == "minus":
+            if self.kind() == "minus":
                 self.take()
                 sign = -1
-            tok = self.expect("int", "an integer exponent")
-            exponents.append(sign * tok.value)
+            exponents.append(sign * self.expect("int", "an integer exponent")[1])
         return Power(node, tuple(exponents)) if exponents else node
 
     def primary(self) -> Expression:
-        tok = self.take()
-        if tok.kind == "O":
+        kind, _, position = self.take()
+        if kind == "O":
             return Trivial()
-        if tok.kind == "L":
+        if kind == "L":
             return Line()
-        if tok.kind == "F":
+        if kind == "F":
             return Atiyah(self._f_index())
-        if tok.kind == "lparen":
+        if kind == "lparen":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ExpressionError(
-                    f"parentheses nested more than {MAX_NESTING} deep", tok.position
+                    f"parentheses nested more than {MAX_NESTING} deep", position
                 )
             inner = self.expr()
             self.expect("rparen", "a closing parenthesis")
             self.depth -= 1
             return inner
-        raise ExpressionError("expected a bundle atom", tok.position)
+        raise ExpressionError("expected a bundle atom", position)
 
     def _f_index(self) -> int:
-        tok = self.peek()
-        if tok.kind == "underscore":
+        kind = self.kind()
+        if kind == "underscore":
             self.take()
-            tok = self.expect("int", "an F index")
-        elif tok.kind == "int":
+            _, index, position = self.expect("int", "an F index")
+        elif kind == "int":
+            _, index, position = self.take()
+        elif kind == "lparen":
             self.take()
-        elif tok.kind == "lparen":
-            self.take()
-            tok = self.expect("int", "an F index")
+            _, index, position = self.expect("int", "an F index")
             self.expect("rparen", "a closing parenthesis")
         else:
-            raise ExpressionError("expected an F index", tok.position)
-        if tok.value < 1:
-            raise ExpressionError("F index must be >= 1", tok.position)
-        return tok.value
+            raise ExpressionError("expected an F index", self.peek()[2])
+        if index < 1:
+            raise ExpressionError("F index must be >= 1", position)
+        return index
 
 
 def parse_expression(src: str) -> Expression:

@@ -454,6 +454,36 @@ def test_tensor_power_matches_ring_power(ctx, data, m):
         assert packed_power(x, m) == expected
 
 
+def test_line_powers_match_ring_power():
+    # L^e to the m-th is L^(e·m), taken ahead of the plan; the ring power is
+    # m - 1 Clebsch-Gordan products of the (dualized) base.
+    for n in range(7):
+        ctx = TorsionContext(n)
+        for e in range(-6, 7):
+            line = BundleSum.single(ctx, ctx.line(e))
+            for m in range(-30, 31):
+                assert line.tensor_power(m) == ring_power(line, m), (n, e, m)
+
+
+def test_line_powers_skip_the_plan(monkeypatch):
+    class PlanCalled(Exception):
+        pass
+
+    def refuse(x, power):
+        raise PlanCalled
+
+    monkeypatch.setattr(characters, "_recurrence_plan", refuse)
+    ctx = TorsionContext(4)
+    for e in (-3, 0, 1, 5):
+        line = BundleSum.single(ctx, ctx.line(e))
+        assert line.tensor_power(7) == BundleSum.single(ctx, ctx.line(7 * e))
+        assert line.tensor_power(-7) == BundleSum.single(ctx, ctx.line(-7 * e))
+    # A multiplicity above 1, or more than one term, still takes the plan.
+    for src in ("(2 L)^3", "(L + O)^3"):
+        with pytest.raises(PlanCalled):
+            evaluate_expression(src, ctx)
+
+
 def test_mixed_parity_power_matches_ring_power():
     for n in (0, 1, 2, 3, 4, 6):
         ctx = TorsionContext(n)

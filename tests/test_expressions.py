@@ -1,17 +1,20 @@
 """Expression grammar: parsing, evaluation, and the format round-trip."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atiyah import (
     BundleSum,
     ExpressionError,
+    KRingElement,
     TorsionContext,
     evaluate_expression,
     parse_expression,
 )
-from atiyah.expressions import MAX_NESTING
+from atiyah.expressions import MAX_NESTING, _tokenize
 
 NT = TorsionContext(0)
 
@@ -130,17 +133,124 @@ def test_long_power_chain_evaluates():
     assert evaluate_expression("F_2" + "^1" * 3000, NT) == sum_of(NT, (1, 0, 2))
 
 
+# -- tokenizer -------------------------------------------------------------------
+
+_REFERENCE_PUNCT = {"+": "plus", "*": "star", "^": "caret", "(": "lparen",
+                    ")": "rparen", "-": "minus", "_": "underscore"}
+
+
+def reference_tokenize(src):
+    """The tokenizer as a loop over characters: (kind, value, position)
+    triples, runs of str.isdecimal characters as integers, str.isspace
+    characters skipped."""
+    tokens = []
+    i, size = 0, len(src)
+    while i < size:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            start = i
+            while i < size and src[i].isdecimal():
+                i += 1
+            try:
+                value = int(src[start:i])
+            except ValueError:  # more digits than int() may convert
+                raise ExpressionError(
+                    f"integer literal of {i - start} digits is too long", start
+                ) from None
+            tokens.append(("int", value, start))
+            continue
+        if ch in "OLF":
+            tokens.append((ch, None, i))
+            i += 1
+            continue
+        if ch in _REFERENCE_PUNCT:
+            tokens.append((_REFERENCE_PUNCT[ch], None, i))
+            i += 1
+            continue
+        raise ExpressionError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, size))
+    return tokens
+
+
+def _outcome(tokenize, src):
+    try:
+        return [tuple(tok) for tok in tokenize(src)]
+    except ExpressionError as err:
+        return str(err), err.position
+
+
+_TOKEN_CHARS = st.one_of(
+    st.sampled_from("0123456789+-*^()_OLF "),  # the grammar
+    # decimal digits of other scripts, then digits that are not decimal
+    st.sampled_from("٣５߉²³¹½ↂ"),
+    # spaces, then two characters that are not
+    st.sampled_from("\u00a0\u2003\u3000\x1c\x1f\x85\n\t\u200b\ufeff"),
+    st.characters(),  # anything else
+)
+
+
+@given(st.text(_TOKEN_CHARS, max_size=40))
+@example("F_٣ + L^２")
+@example("F_²")
+@example("1" * 4301)
+@example("O + " + "9" * 4301 + " F_2 ?")
+@example("2 F_2 ? " + "1" * 4301)
+@settings(max_examples=500, deadline=None)
+def test_tokenizer_matches_the_character_loop(src):
+    assert _outcome(_tokenize, src) == _outcome(reference_tokenize, src)
+
+
+# -- long sums ---------------------------------------------------------------------
+
+def _random_part(rng):
+    e, r = rng.randint(-3, 3), rng.randint(1, 4)  # few classes, so they repeat
+    atom = rng.choice(["L" if e == 1 else f"L^{e}", f"L^{e}*F_{r}", f"F({r})", "O"])
+    kind = rng.random()
+    if kind < 0.15:
+        return f"0 {atom}"
+    if kind < 0.45:
+        return f"{rng.randint(1, 9)} {atom}"
+    if kind < 0.55:
+        return f"({atom})^{rng.randint(-3, 3)}"
+    return atom
+
+
+@pytest.mark.parametrize("torsion", [0, 1, 4, 6])
+def test_long_sum_equals_the_fold_of_its_parts(torsion):
+    ctx = TorsionContext(torsion)
+    rng = random.Random(torsion)
+    for size in (1, 2, 3, 50, 200, 400):
+        parts = [_random_part(rng) for _ in range(size)]
+        expected = evaluate_expression(parts[0], ctx)
+        for part in parts[1:]:
+            expected = KRingElement.__add__(expected, evaluate_expression(part, ctx))
+        assert evaluate_expression(" + ".join(parts), ctx) == expected
+
+
+def test_sum_of_zero_multiples_is_zero_and_still_checks_its_parts():
+    assert evaluate_expression("0 F_2 + 0 L^3 + 0", NT) == BundleSum.zero(NT)
+    with pytest.raises(ValueError, match="zero sum"):
+        evaluate_expression("O + 0 (0)^2", NT)
+
+
 # -- round trip --------------------------------------------------------------------
 
 contexts = st.sampled_from([TorsionContext(n) for n in (0, 1, 2, 3, 4, 5, 6)])
 
 
 def bundle_sums(ctx):
+    # Up to 400 terms: a size is drawn first, since lists drawn freely stay short.
     bundle = st.builds(
-        ctx.bundle, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=6)
+        ctx.bundle,
+        st.integers(min_value=-40, max_value=40),
+        st.integers(min_value=1, max_value=40),
     )
-    return st.lists(
-        st.tuples(bundle, st.integers(min_value=1, max_value=5)), max_size=5
+    pair = st.tuples(bundle, st.integers(min_value=1, max_value=5))
+    return st.integers(min_value=0, max_value=400).flatmap(
+        lambda n: st.lists(pair, min_size=n, max_size=n)
     ).map(lambda pairs: BundleSum.of(ctx, pairs))
 
 
