@@ -34,7 +34,8 @@ multiplied, so ``BivariateCharacter`` has no sum, scaling or printed form.
 ``verify`` makes no ``BivariateCharacter`` product: :func:`_verify_pairs`
 packs every bracket up to ``--rmax`` into each of two integers, at strides
 that keep every pair's product in its own block of slots, and reads every
-pair off the one integer product.
+pair off the one integer product.  It refuses an rmax whose formula side
+would write more than ``bundles.MAX_LOOP_WORDS`` terms.
 
 :func:`character_power` takes tensor powers by the J.C.P. Miller recurrence
 in q over t-rows packed the same way, one small-by-big product per monomial of
@@ -479,7 +480,15 @@ def _verify_pairs(
     of :func:`_differences` relies on), and the multiplicities read off its
     lower half, a slot minus the one before it, are the formula's terms.
     Neither the packing nor the read-off applies the Clebsch-Gordan rule.
+    Raises ``ValueError`` before packing when the formula terms, min(r, s)
+    per pair and R(R + 1)(R + 2)/6 per probe, exceed ``MAX_LOOP_WORDS``.
     """
+    terms = len(probes) * rmax * (rmax + 1) * (rmax + 2) // 6
+    if terms > MAX_LOOP_WORDS:
+        raise ValueError(
+            f"checking every pair up to F_{rmax} would write {terms} formula terms, "
+            f"above the limit of {MAX_LOOP_WORDS}"
+        )
     reduce = context.reduce_exponent
     width = _slot_width(rmax.bit_length())
     s1 = 2 * rmax

@@ -257,38 +257,40 @@ def s_set_symbolic(rank: int, torsion: int) -> SSetDescription:
     return SSetDescription(ctx, (), fams)
 
 
-# Most steps that :func:`s_set_enumerate` or :func:`p1_s_set_enumerate` may
-# take, by the estimate of :func:`_enumeration_steps` or
-# :func:`_p1_enumeration_steps`.  ``sset --rank 2 --bound 1000``, about 33M
-# estimated steps, enumerates and prints its 6.7 MB of text in about 0.1 s and
-# 40 MB (0.2 s and 110 MB as JSON), and ``p1 0 1 7 --bound 1383`` takes about
-# 3 s, on one core of a shared 2-vCPU Xeon.
+# Most steps of :func:`s_set_enumerate` (:func:`_s_set_steps`) or of
+# :func:`p1_s_set_enumerate`; ``p1 0 1 7 --bound 1383``, at the limit, takes
+# 1.4-1.5 s and 20 MB in a fresh process on one core of a shared 2-vCPU Xeon.
 MAX_ENUMERATION_STEPS = 1 << 25
 
 # Most cells that :func:`correspondence_grid` classifies; ``grid --rmax 256
-# --nmax 255``, at the limit, takes about 3.4 s on one core of a shared 2-vCPU
-# Xeon.
+# --nmax 255``, at the limit, takes 0.7 s and 66 MB (0.8 s and 82 MB as JSON)
+# in a fresh process on one core of a shared 2-vCPU Xeon (Python 3.11).
 MAX_GRID_CELLS = 1 << 16
 
 
-def _enumeration_steps(rank: int, power_bound: int) -> int:
-    """Upper estimate of the work of :func:`s_set_enumerate`, in steps.
-
-    It counts the work of expanding every index of every power into the
-    indices of the next and of building one class per member, neither of
-    which the enumeration does any more: its real work is O(rank·B) range
-    steps for the power bound B (:func:`_s_set_ranges`) plus one append per
-    member.  So it is a loose bound; it stays as it was so that every
-    refusal stays where it was.  The m-th power has one index for m = 1 and
-    at most m(rank - 1)/2 + 1 after, so T(N) = 1 + Σ_{m=2..N} (m(rank-1)/2 +
-    1) bounds the indices of the first N powers.  Each index of a power
-    expands into at most rank indices of the next, and becomes a member at
-    up to two line exponents; a member costs about as much as 64 steps.
+def _s_set_steps(rank: int, torsion: int, power_bound: int) -> int:
+    """Upper estimate of the work of :func:`s_set_enumerate` and of printing
+    its members, in the set insertions of :func:`_p1_enumeration_steps`: B
+    propagation steps (:func:`_s_set_ranges`) for the power bound B; 2B range
+    keys (±m, one index parity each), at most 2n over L of order n; one row
+    per index up to the top (rank − 1)·B + 1, one for B = 1; and the members,
+    F_rank at ±1 and floor((rank − 1)·m/2) + 1 indices at each ±m, m >= 2, or
+    over L of order n at most the top at each of min(n, 2B) exponents.
+    Measured on one core of a shared 2-vCPU Xeon (Python 3.11, fresh
+    process), where an insertion takes about 40 ns: a step 0.65-1.1 us
+    (weight 37), a key with its member 1.7 us and 290 bytes (16 + 30), a
+    member 0.25 us and up to 130 bytes as JSON, a row of its own 1.0 us and
+    120 bytes more (30 each).  Memory sets the member and row weights: below
+    the limit no call costs more than ``sset --rank 1 --bound 260000``.
     """
-    def indices(n: int) -> int:
-        return (rank - 1) * (n * (n + 1) // 2 - 1) // 2 + n if n else 0
-
-    return rank * indices(power_bound - 1) + 128 * indices(power_bound)
+    top = (rank - 1) * power_bound + 1
+    rows = top if power_bound > 1 else 1
+    keys = 2 * power_bound
+    members = 2 * power_bound + (rank - 1) * (power_bound * (power_bound + 1) - 2) // 2
+    if torsion:
+        keys = min(keys, 2 * torsion)
+        members = min(members, min(torsion, 2 * power_bound) * top)
+    return 37 * power_bound + 16 * keys + 30 * (members + rows)
 
 
 def _s_set_ranges(rank: int, torsion: int, power_bound: int) -> dict[tuple[int, int], list[int]]:
@@ -331,32 +333,33 @@ def s_set_enumerate(
     (by index, then exponent), each once.
 
     The indices come from the Clebsch-Gordan rule on supports alone, as
-    ranges propagated power by power (:func:`_s_set_ranges`).  The rows are
-    filled index by index from those ranges, taken in exponent order, so
-    only the at most 4B + 2 range keys are sorted, not the members, and no
-    class is built per member: a caller that prints the members can name
-    each line exponent once.
+    ranges propagated power by power (:func:`_s_set_ranges`).  The rows,
+    from the lowest index reached to the top, are filled from those ranges
+    taken in exponent order, so only the at most 2B range keys are sorted,
+    not the members, and no class is built per member: a caller that prints
+    the members can name each line exponent once.
 
-    Raises ``ValueError``, before any enumeration, when the work estimated
-    by :func:`_enumeration_steps` would exceed :data:`MAX_ENUMERATION_STEPS`.
+    Raises ``ValueError``, before any propagation, when :func:`_s_set_steps`
+    counts more than :data:`MAX_ENUMERATION_STEPS`, the limit p1 shares.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if power_bound < 1:
         raise ValueError("power bound must be >= 1")
-    steps = _enumeration_steps(rank, power_bound)
+    steps = _s_set_steps(rank, torsion, power_bound)
     if steps > MAX_ENUMERATION_STEPS:
         raise ValueError(
             f"enumerating S(E) for rank {rank} up to power bound {power_bound} "
             f"would take about {steps} steps, above the limit of {MAX_ENUMERATION_STEPS}"
         )
     ranges = _s_set_ranges(rank, torsion, power_bound)
+    bottom = min(lo for lo, _ in ranges.values())
     top = max(hi for _, hi in ranges.values())
-    rows: list[list[int]] = [[] for _ in range(top + 1)]
+    rows: list[list[int]] = [[] for _ in range(top - bottom + 1)]
     for (e, _), (lo, hi) in sorted(ranges.items()):
-        for j in range(lo, hi + 1, 2):
+        for j in range(lo - bottom, hi - bottom + 1, 2):
             rows[j].append(e)
-    return tuple((j, tuple(row)) for j, row in enumerate(rows) if row)
+    return tuple((j, tuple(row)) for j, row in enumerate(rows, bottom) if row)
 
 
 def s_set_reachable(
@@ -433,8 +436,8 @@ class IntegerPolynomial:
 # Most coefficients that :func:`express_in_generator` may write, estimated as
 # index²: at most index steps of at most index coefficients each.  The
 # coefficients grow to about index bits, so the time grows about as index³;
-# ``express --index 4096``, at the limit, takes about 2 s on one core of a
-# shared 2-vCPU Xeon and prints 1.3 MB.
+# ``express --index 4096``, at the limit, prints 1.3 MB (2.6 MB as JSON) in
+# about 0.55 s, in a fresh process on one core of a shared 2-vCPU Xeon.
 MAX_EXPRESS_COEFFICIENTS = 1 << 24
 
 

@@ -247,21 +247,8 @@ def _express_to_text(result) -> str:
 
 _VERIFY_PROBES = ((0, 0), (1, -1), (2, 1))
 
-# Most character monomials that ``verify`` may check: each probe of each
-# pair F_r, F_s (s <= r <= rmax) checks a product of r + s of them, so
-# --rmax R counts 3·R(R+1)²/2.  --rmax 88, just below the limit, makes one
-# packed product of about 1.4 MB and takes about 0.4 s as a whole process on
-# one core of a shared 2-vCPU Xeon.
-MAX_VERIFY_MONOMIALS = 1 << 20
-
 
 def _cmd_verify(args):
-    monomials = len(_VERIFY_PROBES) * args.rmax * (args.rmax + 1) ** 2 // 2
-    if monomials > MAX_VERIFY_MONOMIALS:
-        raise ValueError(
-            f"verify --rmax {args.rmax} would multiply {monomials} character "
-            f"monomials, above the limit of {MAX_VERIFY_MONOMIALS}"
-        )
     ctx = TorsionContext(args.torsion)
     pairs = args.rmax * (args.rmax + 1) // 2
     failures = [  # at most one per pair: its first disagreeing probe

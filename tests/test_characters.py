@@ -20,6 +20,7 @@ from atiyah import (
     oracle_check,
     tensor_indec,
 )
+from atiyah.bundles import MAX_LOOP_WORDS
 from atiyah.characters import _bracket_row, _verify_pairs, character_power
 from atiyah.cli import _VERIFY_PROBES, main
 
@@ -237,6 +238,36 @@ def test_packed_verify_reads_off_what_oracle_check_peels(torsion, monkeypatch):
         compared.clear()
         assert _verify_pairs(ctx, rmax, _VERIFY_PROBES) == []
         assert len(compared) == len(_VERIFY_PROBES) * rmax * (rmax + 1) // 2
+
+
+class _Packing(Exception):
+    """Raised in place of packing, once verify has passed its size check."""
+
+
+def _verify_refuses(rmax, monkeypatch):
+    """Whether ``_verify_pairs`` refuses rmax before packing."""
+    def packed(*args):
+        raise _Packing
+
+    monkeypatch.setattr(characters_module, "_packed_brackets", packed)
+    try:
+        _verify_pairs(NT, rmax, _VERIFY_PROBES)
+    except _Packing:
+        return False
+    except ValueError as err:
+        assert "limit" in str(err)
+        return True
+    raise AssertionError("verify neither packed nor refused")
+
+
+def test_verify_accepts_every_rmax_the_old_count_accepted(monkeypatch):
+    # The old limit counted 3·R(R+1)²/2 character monomials of a per-probe
+    # route; the formula side writes R(R+1)(R+2)/6 terms per probe.
+    for rmax in range(1, 201):
+        refused = _verify_refuses(rmax, monkeypatch)
+        if 3 * rmax * (rmax + 1) ** 2 // 2 <= MAX_LOOP_WORDS:
+            assert not refused, rmax
+        assert refused == (rmax > 127), rmax
 
 
 @pytest.mark.parametrize("qs", [(0, 1, 4), (0, 3, 4), (-3, 0, 1, 3), (0, 2, 4), (5, 7)])

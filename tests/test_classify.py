@@ -26,7 +26,12 @@ from atiyah import (
     s_set_symbolic,
 )
 from atiyah.bundles import component_indices
-from atiyah.classify import MAX_ENUMERATION_STEPS, _enumeration_steps, _p1_enumeration_steps
+from atiyah.classify import (
+    MAX_ENUMERATION_STEPS,
+    _p1_enumeration_steps,
+    _s_set_ranges,
+    _s_set_steps,
+)
 from s_sets import reference_s_sets, s_set_members
 
 NT = TorsionContext(0)
@@ -261,16 +266,14 @@ def test_enumeration_matches_set_expansion(rank):
 
 
 def counted_enumeration_work(rank, torsion, bound):
-    """Index-loop steps plus 64 per class of the enumeration, counted."""
-    ctx = TorsionContext(torsion)
-    steps = classes = 0
-    indices = {rank}
-    for m in range(1, bound + 1):
-        if m > 1:
-            steps += sum(len(component_indices(i, rank)) for i in indices)
-            indices = {j for i in indices for j in component_indices(i, rank)}
-        classes += len(indices) * len({ctx.reduce_exponent(m), ctx.reduce_exponent(-m)})
-    return steps + 64 * classes
+    """The propagation steps, range keys, rows (empty ones included) and
+    members of the enumeration, counted and weighted as ``_s_set_steps``
+    weighs them."""
+    keys = len(_s_set_ranges(rank, torsion, bound))
+    rows = s_set_enumerate(rank, torsion, bound)
+    members = sum(len(exponents) for _, exponents in rows)
+    allocated = rows[-1][0] - rows[0][0] + 1  # the lowest to the top index
+    return 37 * bound + 16 * keys + 30 * (members + allocated)
 
 
 @given(
@@ -280,7 +283,43 @@ def counted_enumeration_work(rank, torsion, bound):
 )
 @settings(max_examples=80, deadline=None)
 def test_enumeration_estimate_bounds_the_work(rank, torsion, bound):
-    assert counted_enumeration_work(rank, torsion, bound) <= _enumeration_steps(rank, bound)
+    assert counted_enumeration_work(rank, torsion, bound) <= _s_set_steps(rank, torsion, bound)
+
+
+def old_enumeration_steps(rank, bound):
+    """The estimate that sset was refused by before it counted its own work:
+    an index expansion and 64 steps per class that it no longer does.  Kept
+    only to show that no refusal moved inward."""
+    def indices(n):
+        return (rank - 1) * (n * (n + 1) // 2 - 1) // 2 + n if n else 0
+
+    return rank * indices(bound - 1) + 128 * indices(bound)
+
+
+@pytest.mark.parametrize("torsion", [0, 1, 2, 3, 4, 6, 61, 10**9])
+def test_enumeration_accepts_every_bound_the_old_estimate_accepted(torsion):
+    for rank in range(1, 301):
+        bound = 1
+        while old_enumeration_steps(rank, bound) <= MAX_ENUMERATION_STEPS:
+            bound += 1
+        # bound is now one past the old boundary, so these are every bound
+        # the old estimate accepted.
+        for accepted in range(1, bound):
+            assert _s_set_steps(rank, torsion, accepted) <= MAX_ENUMERATION_STEPS, rank
+
+
+def test_enumeration_refuses_on_its_own_count():
+    # Over non-torsion L, rank 1 keeps its boundary (129 steps a power);
+    # a torsion order of 1 leaves one key and one member.
+    assert _s_set_steps(1, 0, 260111) <= MAX_ENUMERATION_STEPS < _s_set_steps(1, 0, 260112)
+    with pytest.raises(ValueError, match="limit"):
+        s_set_enumerate(1, 0, 260112)
+    assert _s_set_steps(1, 1, 900000) <= MAX_ENUMERATION_STEPS
+    with pytest.raises(ValueError, match="limit"):
+        s_set_enumerate(1, 1, 10**8)
+    # One power of a large rank holds F_rank alone, in one row.
+    assert s_set_enumerate(10**9, 0, 1) == ((10**9, (-1, 1)),)
+    assert s_set_enumerate(10**9, 3, 1) == ((10**9, (1, 2)),)
 
 
 def counted_p1_work(degrees, bound):

@@ -154,6 +154,15 @@ def test_verify_exits_zero(capsys):
     assert out.strip() == "oracle agreement 21/21 pairs"
 
 
+def test_verify_at_the_limit(capsys):
+    # --rmax 127 writes 1,048,512 formula terms over its three probes, just
+    # within bundles.MAX_LOOP_WORDS; 128, which would write 1,073,280, is
+    # among the oversized calls below.
+    status, out, _ = run(capsys, "verify", "--rmax", "127")
+    assert status == 0
+    assert out.strip() == "oracle agreement 8128/8128 pairs"
+
+
 def test_verify_torsion_context(capsys):
     status, out, _ = run(capsys, "verify", "--rmax", "4", "--torsion", "3")
     assert status == 0
@@ -364,6 +373,8 @@ def test_oversized_power_exits_two_promptly(argv):
         ("p1", "0", "1", "7", "--bound", "100000"),
         ("p1", "0", "1", "7", "--bound", "100000", "--format", "json"),
         ("express", "--index", "1000000"),
+        ("sset", "--rank", "1", "--bound", "100000000"),
+        ("verify", "--rmax", "128"),
     ],
 )
 def test_oversized_work_exits_two_promptly(argv):
