@@ -262,9 +262,10 @@ def s_set_symbolic(rank: int, torsion: int) -> SSetDescription:
 # 1.4-1.5 s and 20 MB in a fresh process on one core of a shared 2-vCPU Xeon.
 MAX_ENUMERATION_STEPS = 1 << 25
 
-# Most cells that :func:`correspondence_grid` classifies; ``grid --rmax 256
-# --nmax 255``, at the limit, takes 0.7 s and 66 MB (0.8 s and 82 MB as JSON)
-# in a fresh process on one core of a shared 2-vCPU Xeon (Python 3.11).
+# Most cells that :func:`correspondence_grid` fills; ``grid --rmax 256
+# --nmax 255``, at the limit, takes 0.17-0.2 s and 29 MB (0.2-0.3 s and
+# 46 MB as JSON) in a fresh process on one core of a shared 2-vCPU Xeon
+# (Python 3.11), where ``classify --rank 2 --torsion 4`` takes 0.08 s.
 MAX_GRID_CELLS = 1 << 16
 
 
@@ -604,14 +605,19 @@ def _classify_cell(rank: int, n: int, s_set: SSetDescription | None) -> Classifi
     )
 
 
-def correspondence_grid(r_max: int, n_max: int) -> tuple[ClassificationReport, ...]:
-    """Reports for every (rank, torsion) in [1..r_max] x [0..n_max], rank-major.
+def correspondence_grid(r_max: int, n_max: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Rows ``(rank, torsion, krull_dim, group_dim)`` for every (rank, torsion)
+    in [1..r_max] x [0..n_max], rank-major: dim R(E) and dim G of that cell.
 
-    Each report is that of :func:`classify` without the S-set (``s_set`` is
-    ``None``): it carries dim R(E) (``krull_dim``), dim G
-    (``group.dimension``) and whether they agree (``correspondence_holds``).
-    Raises ``ValueError``, before classifying any cell, for more than
-    :data:`MAX_GRID_CELLS` cells.
+    :func:`_compose` sets both dimensions from two facts only: the order
+    class of L (0, 1 or >= 2) and whether rank >= 2.  So one representative
+    cell per class, ranks 1 and 2 by torsion 0, 1 and 2, at most six per
+    grid, goes through :func:`_classify_cell`, the route by which
+    :func:`classify` reaches its ``krull_dim`` (:func:`krull_dimension`) and
+    ``group.dimension``; each rank's row is filled from the three
+    (krull_dim, group_dim) pairs of its class, and no other cell is
+    classified on its own.  Raises ``ValueError``, before classifying any
+    cell, for more than :data:`MAX_GRID_CELLS` cells.
     """
     if r_max < 1 or n_max < 0:
         raise ValueError("grid bounds must cover at least one cell")
@@ -621,8 +627,17 @@ def correspondence_grid(r_max: int, n_max: int) -> tuple[ClassificationReport, .
             f"a {r_max} x {n_max + 1} grid has {cells} cells, "
             f"above the limit of {MAX_GRID_CELLS}"
         )
+    classes = []  # per rank class (1, >= 2): the pair of each torsion n
+    for rank in range(1, min(r_max, 2) + 1):
+        pairs = []
+        for n in range(min(n_max, 2) + 1):
+            report = _classify_cell(rank, n, None)
+            pairs.append((report.krull_dim, report.group.dimension))
+        classes.append(pairs + pairs[2:] * (n_max - 2))  # n >= 2 as n = 2
     return tuple(
-        _classify_cell(r, n, None) for r in range(1, r_max + 1) for n in range(0, n_max + 1)
+        (r, n, krull_dim, group_dim)
+        for r in range(1, r_max + 1)
+        for n, (krull_dim, group_dim) in enumerate(classes[r > 1])
     )
 
 

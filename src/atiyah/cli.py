@@ -272,35 +272,26 @@ def _verify_to_text(result) -> str:
 
 
 def _cmd_grid(args):
-    cells = correspondence_grid(args.rmax, args.nmax)
-    return cells, 0 if all(c.correspondence_holds for c in cells) else 2
+    rows = correspondence_grid(args.rmax, args.nmax)
+    return rows, 0 if all(k == g for _, _, k, g in rows) else 2
 
 
-def _grid_to_json(cells) -> dict:
+def _grid_to_json(rows) -> dict:
     return {
         "cells": [
-            {
-                "rank": c.rank,
-                "torsion": c.torsion,
-                "krull_dim": c.krull_dim,
-                "group_dim": c.group.dimension,
-                "holds": c.correspondence_holds,
-            }
-            for c in cells
+            {"rank": r, "torsion": n, "krull_dim": k, "group_dim": g, "holds": k == g}
+            for r, n, k, g in rows
         ],
-        "all_hold": all(c.correspondence_holds for c in cells),
+        "all_hold": all(k == g for _, _, k, g in rows),
     }
 
 
-def _grid_to_text(cells) -> str:
+def _grid_to_text(rows) -> str:
     lines = ["rank torsion dimR dimG holds"]
-    for c in cells:
-        lines.append(
-            f"{c.rank:4d} {c.torsion:7d} {c.krull_dim:4d} {c.group.dimension:4d} "
-            f"{str(c.correspondence_holds).lower()}"
-        )
-    holding = sum(1 for c in cells if c.correspondence_holds)
-    lines.append(f"dimension correspondence holds in {holding}/{len(cells)} cells")
+    for r, n, k, g in rows:
+        lines.append(f"{r:4d} {n:7d} {k:4d} {g:4d} {str(k == g).lower()}")
+    holding = sum(k == g for _, _, k, g in rows)
+    lines.append(f"dimension correspondence holds in {holding}/{len(rows)} cells")
     return "\n".join(lines)
 
 

@@ -126,13 +126,14 @@ def test_criterion_5_dimension_correspondence():
     """dim R(E) = dim G over the full grid, with both-even minimality data."""
     cells = correspondence_grid(10, 12)
     assert len(cells) == 130
-    assert all(c.correspondence_holds for c in cells)
+    assert all(krull_dim == group_dim for _, _, krull_dim, group_dim in cells)
     both_even = 0
-    for c in cells:
-        if c.rank >= 2 and c.torsion >= 2 and c.rank % 2 == 0 and c.torsion % 2 == 0:
-            assert c.minimality_note
-            assert c.presentation.modulus == c.torsion // 2
-            assert c.group.factors[0] == f"mu_{c.torsion}"
+    for rank, torsion, _, _ in cells:
+        if rank >= 2 and torsion >= 2 and rank % 2 == 0 and torsion % 2 == 0:
+            report = classify(rank, torsion)
+            assert report.minimality_note
+            assert report.presentation.modulus == torsion // 2
+            assert report.group.factors[0] == f"mu_{torsion}"
             both_even += 1
     _report(5, f"130 cells hold; {both_even} both-even cells carry minimality notes")
 

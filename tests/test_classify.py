@@ -1,6 +1,7 @@
 """Classification: case table, S-sets, generator polynomials, P^1 analogue."""
 
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -33,6 +34,9 @@ from atiyah.classify import (
     _s_set_steps,
 )
 from s_sets import reference_s_sets, s_set_members
+
+# The module: the package binds the name atiyah.classify to the function.
+classify_module = sys.modules["atiyah.classify"]
 
 NT = TorsionContext(0)
 
@@ -422,10 +426,9 @@ def test_odd_chain_reproduces_basis_classes(index):
 # -- correspondence grid ---------------------------------------------------------------
 
 def test_grid_small():
-    cells = correspondence_grid(1, 1)
     assert [
-        (c.rank, c.torsion, c.krull_dim, c.group.dimension, c.correspondence_holds)
-        for c in cells
+        (r, n, krull_dim, group_dim, krull_dim == group_dim)
+        for r, n, krull_dim, group_dim in correspondence_grid(1, 1)
     ] == [
         (1, 0, 1, 1, True),
         (1, 1, 0, 0, True),
@@ -433,10 +436,40 @@ def test_grid_small():
 
 
 def test_grid_known_rows():
-    cells = {(c.rank, c.torsion): c for c in correspondence_grid(2, 2)}
-    assert (cells[(2, 0)].krull_dim, cells[(2, 0)].group.dimension) == (2, 2)
-    assert (cells[(2, 2)].krull_dim, cells[(2, 2)].group.dimension) == (1, 1)
-    assert all(c.correspondence_holds for c in cells.values())
+    cells = {(r, n): (k, g) for r, n, k, g in correspondence_grid(2, 2)}
+    assert cells[(2, 0)] == (2, 2)
+    assert cells[(2, 2)] == (1, 1)
+    assert all(k == g for k, g in cells.values())
+
+
+@pytest.mark.parametrize("kind_number", [None, list(PresentationKind).index], ids=["krull", "kind"])
+def test_grid_rows_match_classify_cell_by_cell(monkeypatch, kind_number):
+    # The grid classifies one cell per dimension class; classify runs every
+    # cell on its own, S-set included.  The order classes 1 and >= 2 have the
+    # same dimensions, so the second run replaces the Krull dimension by a
+    # number that tells every presentation kind apart: the grid must still
+    # agree, so its classes separate every kind that _compose can build.
+    if kind_number:
+        monkeypatch.setattr(classify_module, "krull_dimension", lambda p: kind_number(p.kind))
+    expected = []
+    for r in range(1, 13):
+        for n in range(13):
+            report = classify(r, n)
+            expected.append((r, n, report.krull_dim, report.group.dimension))
+    assert list(correspondence_grid(12, 12)) == expected
+
+
+def test_grid_classifies_one_cell_per_class(monkeypatch):
+    calls = []
+    classify_cell = classify_module._classify_cell
+
+    def counted(rank, n, s_set):
+        calls.append((rank, n))
+        return classify_cell(rank, n, s_set)
+
+    monkeypatch.setattr(classify_module, "_classify_cell", counted)
+    assert len(correspondence_grid(30, 29)) == 30 * 30
+    assert len(calls) <= 6
 
 
 def _growth(rank, torsion, degree_bounds):
@@ -488,8 +521,8 @@ def _order(ctx, exponent):
 
 def test_minimality_notes_cite_computed_quantities():
     both_even = [
-        c for c in correspondence_grid(10, 12)
-        if c.rank % 2 == 0 and c.torsion >= 2 and c.torsion % 2 == 0
+        classify(r, n) for r, n, _, _ in correspondence_grid(10, 12)
+        if r % 2 == 0 and n >= 2 and n % 2 == 0
     ]
     assert len(both_even) == 30
     for report in both_even:

@@ -183,6 +183,37 @@ def test_grid_json(capsys):
     assert len(payload["cells"]) == 6
 
 
+def test_grid_at_the_limit(capsys):
+    status, out, _ = run(capsys, "grid", "--rmax", "256", "--nmax", "255")
+    assert status == 0
+    assert out.splitlines()[-1] == "dimension correspondence holds in 65536/65536 cells"
+    status, out, err = run(capsys, "grid", "--rmax", "257", "--nmax", "255")
+    assert (status, out) == (2, "")
+    assert "limit" in err
+
+
+def test_grid_mismatch_exits_two(capsys, monkeypatch):
+    # The math never disagrees, so force a mismatch: every Krull dimension
+    # one more than the group's, through the route the grid reads its
+    # dimensions from.  The package binds atiyah.classify to the function.
+    classify_module = sys.modules["atiyah.classify"]
+    krull_dimension = classify_module.krull_dimension
+    monkeypatch.setattr(
+        classify_module, "krull_dimension", lambda presentation: krull_dimension(presentation) + 1
+    )
+    status, out, _ = run(capsys, "grid", "--rmax", "3", "--nmax", "3")
+    assert status == 2
+    lines = out.splitlines()
+    assert lines[-1] == "dimension correspondence holds in 0/12 cells"
+    assert all(line.endswith(" false") for line in lines[1:-1])
+    status, out, _ = run(capsys, "grid", "--rmax", "3", "--nmax", "3", "--format", "json")
+    assert status == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, GRID_SCHEMA)
+    assert payload["all_hold"] is False
+    assert not any(cell["holds"] for cell in payload["cells"])
+
+
 def test_p1_subcommand(capsys):
     status, out, _ = run(capsys, "p1", "2", "4")
     assert status == 0
