@@ -23,7 +23,6 @@ same composition.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -434,24 +433,74 @@ class IntegerPolynomial:
         return text[2:] if text.startswith("+ ") else text
 
 
-# Most coefficients that :func:`express_in_generator` may write, estimated as
-# index²: at most index steps of at most index coefficients each.  The
-# coefficients grow to about index bits, so the time grows about as index³;
-# ``express --index 4096``, at the limit, prints 1.3 MB (2.6 MB as JSON) in
-# about 0.55 s, in a fresh process on one core of a shared 2-vCPU Xeon.
+# Largest index² that :func:`express_in_generator` admits, so index <= 4096.
+# Both chains take O(index) big-integer steps (about 1.3 ms at the limit);
+# what grows is the output, about index/2 coefficients of up to about
+# 0.7·index bits, so its size grows as index².  In a fresh process on one
+# core of a shared 2-vCPU Xeon (Python 3.11), ``express --index 4096`` prints
+# 1.3 MB (2.6 MB as JSON) in about 0.07 s (0.085 s), and ``express --index
+# 4095 --chain odd`` 0.77 MB (1.5 MB) in about 0.06 s (0.07 s), of which
+# about 0.055 s is starting the interpreter and importing the package.
 MAX_EXPRESS_COEFFICIENTS = 1 << 24
+
+
+def _even_chain(index: int) -> list[int]:
+    """Coefficients, ascending, of p_index = Σ_k (-1)^k C(d-k, k) x^(d-2k), d = index - 1.
+
+    Each coefficient follows from the one before it by the term ratio
+    C(d-k-1, k+1) / C(d-k, k) = (d-2k)(d-2k-1) / ((k+1)(d-k)), with the sign
+    alternating; the division is exact.
+    """
+    d = index - 1
+    coeffs = [0] * index
+    c = coeffs[d] = 1
+    for k in range(d // 2):
+        c = -c * (d - 2 * k) * (d - 2 * k - 1) // ((k + 1) * (d - k))
+        coeffs[d - 2 * k - 2] = c
+    return coeffs
+
+
+def _odd_chain(index: int) -> list[int]:
+    """Coefficients, ascending, of q_index for an odd index, from the top one down.
+
+    F_2 ⊗ F_2 = O ⊕ F_3, so [F_3] = y² - 1 in y = [F_2], and p_index is even
+    in y: q_index(x) = p_index(sqrt(x + 1)).  p_index(y) = U_(index-1)(y/2)
+    solves (4 - y²)p'' - 3y·p' + (index² - 1)p = 0, so q = q_index solves
+    4(x + 1)(3 - x)q'' - 8x·q' + (index² - 1)q = 0.  Its coefficients a_m,
+    with j = (index - 1)/2, a_j = 1 and a_(j+1) = 0, then satisfy
+    3(m + 2)(m + 1)a_(m+2) + 2m(m + 1)a_(m+1) + (j - m)(j + m + 1)a_m = 0;
+    the division by (j - m)(j + m + 1) is exact.
+    """
+    j = (index - 1) // 2
+    coeffs = [0] * (j + 2)
+    coeffs[j] = 1
+    for m in range(j - 1, -1, -1):
+        coeffs[m] = -(
+            3 * (m + 2) * (m + 1) * coeffs[m + 2] + 2 * m * (m + 1) * coeffs[m + 1]
+        ) // ((j - m) * (j + m + 1))
+    del coeffs[-1]
+    return coeffs
 
 
 def express_in_generator(index: int, chain: str = "even") -> IntegerPolynomial:
     """Polynomial writing [F_index] in the chosen generator of R(F_r).
 
-    The "even" chain uses x = [F_2] and covers every index, via
-    p_{i+1} = x·p_i - p_{i-1} (from F_i ⊗ F_2 = F_{i-1} ⊕ F_{i+1}).  The
-    "odd" chain uses x = [F_3] and covers odd indices only, via
-    q_{i+2} = (x - 1)·q_i - q_{i-2} (from F_i ⊗ F_3 = F_{i-2} ⊕ F_i ⊕ F_{i+2}).
+    The "even" chain uses x = [F_2] and covers every index.  By
+    F_i ⊗ F_2 = F_(i-1) ⊕ F_(i+1), p_(i+1) = x·p_i - p_(i-1), so p_i is the
+    Chebyshev polynomial U_(i-1)(x/2), whose closed form
+    p_i = Σ_k (-1)^k C(i-1-k, k) x^(i-1-2k) is written in one pass by the
+    term ratio -(d-2k)(d-2k-1) / ((k+1)(d-k)), d = i - 1 (:func:`_even_chain`).
 
-    Raises ``ValueError``, before the recurrence runs, when index² exceeds
-    :data:`MAX_EXPRESS_COEFFICIENTS`.
+    The "odd" chain uses x = [F_3] and covers odd indices only.  By
+    F_i ⊗ F_3 = F_(i-2) ⊕ F_i ⊕ F_(i+2), q_(i+2) = (x - 1)·q_i - q_(i-2); its
+    coefficients have no term ratio, but follow a three-term recurrence from
+    the top one down (:func:`_odd_chain`), also in one pass.  That route was
+    kept over the two O(index²) ones, the Taylor shift by 1 of U_j + U_(j-1)
+    in x - 1 and the recurrence in i: at index 4095 (one core of a shared
+    2-vCPU Xeon, Python 3.11) it takes about 1.1 ms, against 170 ms and
+    230 ms.
+
+    Raises ``ValueError`` when index² exceeds :data:`MAX_EXPRESS_COEFFICIENTS`.
     """
     if index < 1:
         raise ValueError("index must be >= 1")
@@ -461,22 +510,12 @@ def express_in_generator(index: int, chain: str = "even") -> IntegerPolynomial:
             f"above the limit of {MAX_EXPRESS_COEFFICIENTS}"
         )
     if chain == "even":
-        steps = index - 2
-    elif chain == "odd":
-        if index % 2 == 0:
-            raise ValueError("the [F_3] chain only reaches odd indices")
-        steps = (index - 3) // 2
-    else:
+        return IntegerPolynomial.of(_even_chain(index))
+    if chain != "odd":
         raise ValueError("chain must be 'even' or 'odd'")
-    # Coefficient lists, ascending: p_1 = 1 and p_2 = x, or q_1 = 1 and q_3 = x.
-    prev, cur = [1], [0, 1]
-    for _ in range(steps):
-        nxt = [0, *cur]
-        if chain == "odd":
-            nxt[: len(cur)] = map(operator.sub, nxt, cur)
-        nxt[: len(prev)] = map(operator.sub, nxt, prev)
-        prev, cur = cur, nxt
-    return IntegerPolynomial.of(prev if index == 1 else cur)
+    if index % 2 == 0:
+        raise ValueError("the [F_3] chain only reaches odd indices")
+    return IntegerPolynomial.of(_odd_chain(index))
 
 
 @dataclass(frozen=True)

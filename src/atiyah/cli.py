@@ -335,19 +335,26 @@ def _add_common(sub, handler, to_json, to_text, torsion=True):
     )
 
 
-def build_parser() -> _Parser:
-    """The CLI's parser: a shallow copy of the one built on first use.
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser for one call: a shallow copy of the subcommand's own parser
+    when ``command`` names one of the eight subcommands, else of the full one.
 
-    Building the eight subparsers costs about 2 ms and copying about 3 us.
-    Each caller gets its own copy, so that rebinding an attribute of the
-    result, as a tracer that wraps ``parse_args`` does, leaves later calls
-    untouched.  The copies share their arguments and subparsers: add none.
+    ``main`` passes its first argument as ``command`` and parses the rest with
+    the subcommand's parser, which skips the full parser's dispatch through
+    its subparsers action; the usage errors are the same, since the subparser
+    raises them on either route.  The parsers are built once, on first use
+    (about 2 ms), and a copy costs about 3 us.  Each caller gets its own copy,
+    so that rebinding an attribute of the result, as a tracer that wraps
+    ``parse_args`` does, leaves later calls untouched.  The copies share
+    their arguments and subparsers: add none.
     """
-    return copy.copy(_shared_parser())
+    parser, subparsers = _shared_parsers()
+    return copy.copy(subparsers.get(command, parser))
 
 
 @functools.cache
-def _shared_parser() -> _Parser:
+def _shared_parsers() -> tuple[_Parser, dict[str, _Parser]]:
+    """The full parser, and its subparsers by command name."""
     parser = _Parser(
         prog="atiyah",
         description="Exact K-ring calculator for degree-zero bundles on an elliptic curve",
@@ -391,13 +398,17 @@ def _shared_parser() -> _Parser:
     p.add_argument("--bound", type=_positive_int, default=6)
     _add_common(p, _cmd_p1, _p1_to_json, _p1_to_text, torsion=False)
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv else None
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        # No arguments, an unknown command and a top-level -h/--help go to
+        # the full parser, which reports them as it always has.
+        args = parser.parse_args(argv[1:] if command in _shared_parsers()[1] else argv)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -1,6 +1,8 @@
 """Classification: case table, S-sets, generator polynomials, P^1 analogue."""
 
+import inspect
 import math
+import operator
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -29,6 +31,9 @@ from atiyah import (
 from atiyah.bundles import component_indices
 from atiyah.classify import (
     MAX_ENUMERATION_STEPS,
+    MAX_EXPRESS_COEFFICIENTS,
+    _even_chain,
+    _odd_chain,
     _p1_enumeration_steps,
     _s_set_ranges,
     _s_set_steps,
@@ -380,6 +385,68 @@ def test_even_chain_closed_form():
         for k in range((i - 1) // 2 + 1):
             expected[i - 1 - 2 * k] = (-1) ** k * math.comb(i - 1 - k, k)
         assert express_in_generator(i, "even").coefficients == tuple(expected), i
+
+
+# The largest index that express_in_generator admits.
+TOP_INDEX = math.isqrt(MAX_EXPRESS_COEFFICIENTS)
+
+
+def _recurrence(chain, top):
+    """Yield (index, coefficients) of every index up to ``top`` on one chain,
+    by the recurrence in the index that the library's one-pass routes replace:
+    p_(i+1) = x·p_i - p_(i-1), and q_(i+2) = (x - 1)·q_i - q_(i-2)."""
+    prev, cur = [1], [0, 1]
+    index, step = (2, 1) if chain == "even" else (3, 2)
+    yield 1, prev
+    while index <= top:
+        yield index, cur
+        nxt = [0, *cur]
+        if chain == "odd":
+            nxt[: len(cur)] = map(operator.sub, nxt, cur)
+        nxt[: len(prev)] = map(operator.sub, nxt, prev)
+        prev, cur = cur, nxt
+        index += step
+
+
+def _first_disagreement(route, chain, top=TOP_INDEX):
+    """The first index up to ``top`` where ``route(index)`` differs from the
+    recurrence on ``chain``, or None."""
+    for index, expected in _recurrence(chain, top):
+        if route(index) != expected:
+            return index
+    return None
+
+
+@pytest.mark.parametrize("chain", ["even", "odd"])
+def test_chain_matches_the_recurrence_up_to_the_limit(chain):
+    assert TOP_INDEX == 4096
+
+    def route(index):
+        return list(express_in_generator(index, chain).coefficients)
+
+    assert _first_disagreement(route, chain) is None
+
+
+def _mutated(function, old, new):
+    """``function`` compiled from its source with ``old`` replaced by ``new``."""
+    source = inspect.getsource(function)
+    assert old in source
+    namespace = {}
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
+
+
+@pytest.mark.parametrize(
+    "function, chain, old, new",
+    [
+        (_even_chain, "even", "(d - 2 * k - 1)", "(d - 2 * k + 1)"),
+        (_even_chain, "even", "((k + 1) * (d - k))", "((k + 1) * (d - k + 1))"),
+        (_odd_chain, "odd", "2 * m * (m + 1)", "2 * m * (m - 1)"),
+        (_odd_chain, "odd", "(j + m + 1)", "(j + m + 2)"),
+    ],
+)
+def test_mutated_one_pass_route_fails_the_comparison(function, chain, old, new):
+    assert _first_disagreement(_mutated(function, old, new), chain) is not None
 
 
 def _q_int(n, q):

@@ -192,6 +192,19 @@ def test_grid_at_the_limit(capsys):
     assert "limit" in err
 
 
+def test_express_at_the_limit(capsys):
+    status, out, _ = run(capsys, "express", "--index", "4096")
+    assert status == 0
+    assert out.startswith("[F_4096] = x^4095 - 4094*x^4093 + 8374278*x^4091 - ")
+    assert out.endswith(" - 2048*x   (x = [F_2])\n")
+    status, out, _ = run(capsys, "express", "--index", "4095", "--chain", "odd")
+    assert status == 0
+    assert out.startswith("[F_4095] = x^2047 - 2046*x^2046 + 2089989*x^2045 - ")
+    status, out, err = run(capsys, "express", "--index", "4097")
+    assert (status, out) == (2, "")
+    assert "limit" in err
+
+
 def test_grid_mismatch_exits_two(capsys, monkeypatch):
     # The math never disagrees, so force a mismatch: every Krull dimension
     # one more than the group's, through the route the grid reads its
@@ -647,21 +660,28 @@ def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
 
     reused = _outcomes(capsys, _SEQUENCE * 2)
     assert {status for status, _, _ in reused} == {0, 1, 2}
-    # The same calls, each with a parser built from scratch.
-    monkeypatch.setattr(cli_module, "build_parser", cli_module._shared_parser.__wrapped__)
+
+    # The same calls, each with parsers built from scratch: the subcommand's
+    # own for a known command, else the full one.
+    def fresh_build_parser(command=None):
+        parser, subparsers = cli_module._shared_parsers.__wrapped__()
+        return subparsers.get(command, parser)
+
+    monkeypatch.setattr(cli_module, "build_parser", fresh_build_parser)
     assert _outcomes(capsys, _SEQUENCE * 2) == reused
 
 
 def test_rebinding_parse_args_does_not_stack(capsys, monkeypatch):
     # A tracer rebinds parse_args on each parser that build_parser returns;
     # were that parser shared, every call would wrap the last wrapper again.
+    # Both kinds are checked: a subcommand's parser and the full one.
     import atiyah.cli as cli_module
 
     untraced = run(capsys, "classify", "--rank", "2")
     build_parser = cli_module.build_parser
 
-    def traced_build_parser():
-        parser = build_parser()
+    def traced_build_parser(*args):
+        parser = build_parser(*args)
         inner = parser.parse_args
         parser.parse_args = lambda *args, **kwargs: inner(*args, **kwargs)
         return parser
@@ -669,10 +689,118 @@ def test_rebinding_parse_args_does_not_stack(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "build_parser", traced_build_parser)
     for _ in range(2000):
         assert main(["classify", "--rank", "2", "--torsion", "x"]) == 1
-    assert capsys.readouterr().err.count("usage error") == 2000
+        assert main(["frobnicate"]) == 1
+    assert capsys.readouterr().err.count("usage error") == 4000
     assert run(capsys, "classify", "--rank", "2") == untraced
     monkeypatch.undo()
     assert run(capsys, "classify", "--rank", "2") == untraced
+
+
+def _call(argv):
+    """(exit status, stdout, stderr) of ``main(argv)``; -h/--help exit through
+    SystemExit, whose code stands in for the status."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(list(argv))
+        except SystemExit as exit_:
+            status = f"SystemExit({exit_.code})"
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_every_call_parses_once_through_the_wrapped_parser(monkeypatch):
+    # perfbench's tracer wraps build_parser and rebinds parse_args on the
+    # parser it returns, and times both as cli.argparse_s.  Wrap it the same
+    # way: every call, on a known or an unknown command, must go through the
+    # rebound parse_args exactly once, with the subcommand's own parser for a
+    # known command and the full parser otherwise.
+    import atiyah.cli as cli_module
+
+    build_parser = cli_module.build_parser
+    parsed = []
+
+    def traced_build_parser(*args):
+        parser = build_parser(*args)
+        inner = parser.parse_args
+
+        def parse_args(*args, **kwargs):
+            parsed.append(parser.prog)
+            return inner(*args, **kwargs)
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli_module, "build_parser", traced_build_parser)
+    argvs = [*_SEQUENCE, (), ("-h",), ("--help",), ("tensor", "-h"), ("p1", "--", "-2")]
+    for argv in argvs:
+        del parsed[:]
+        _call(argv)
+        known = bool(argv) and argv[0] in SCHEMAS
+        assert parsed == [f"atiyah {argv[0]}" if known else "atiyah"], argv
+
+
+# -- the subcommand's own parser against the full one ----------------------------------
+
+# Each subcommand's grammar: its positionals, then its options with values
+# (--format is added to every one; --out is left out, since it writes a file).
+_GRAMMARS = {
+    "tensor": ((_EXPRESSIONS,), ("--torsion",)),
+    "power": ((_EXPRESSIONS, _SMALL), ("--torsion",)),
+    "sset": ((), ("--rank", "--bound", "--torsion")),
+    "classify": ((), ("--rank", "--torsion")),
+    "express": ((), ("--index", "--chain")),
+    "verify": ((), ("--rmax", "--torsion")),
+    "grid": ((), ("--rmax", "--nmax")),
+    "p1": ((_SMALL, _SMALL), ("--bound",)),
+}
+_OPTION_VALUES = st.one_of(
+    _SMALL, st.sampled_from(["even", "odd", "text", "json", "x", "1.5", "", "-", "0x10", "-1"])
+)
+_JUNK = st.sampled_from(
+    ["--", "-h", "--help", "--he", "--bogus", "--torsionx", "-x", "-", "extra", "-3", "--format"]
+)
+
+
+@st.composite
+def _mutated_argv(draw):
+    """argv of one subcommand's grammar, then mutated: values dropped, options
+    abbreviated, written as --opt=value or repeated, junk inserted (--, -h,
+    unknown options, bad integers), or the command replaced."""
+    command = draw(st.sampled_from(sorted(_GRAMMARS)))
+    positionals, options = _GRAMMARS[command]
+    argv = [draw(value) for value in positionals]
+    for option in draw(st.lists(st.sampled_from([*options, "--format"]), max_size=3)):
+        value = draw(st.sampled_from(["text", "json"]) if option == "--format" else _OPTION_VALUES)
+        style = draw(st.sampled_from(["pair", "equals", "abbreviated", "missing", "repeated"]))
+        if style == "equals":
+            argv.append(f"{option}={value}")
+        elif style == "abbreviated":
+            argv += [option[: draw(st.integers(3, len(option)))], value]
+        elif style == "missing":
+            argv.append(option)
+        elif style == "repeated":
+            argv += [option, value, option, draw(_OPTION_VALUES)]
+        else:
+            argv += [option, value]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    head = draw(st.sampled_from([command] * 6 + ["frobnicate", "tens", "-h", ""]))
+    return [head, *argv]
+
+
+@given(_mutated_argv())
+@settings(max_examples=400, deadline=None)
+def test_subcommand_parser_matches_the_full_parser(argv):
+    # The full-parser route: with no subcommand known to main, every call
+    # goes through the full parser and its subparsers action, as all calls
+    # did before main parsed with the subcommand's own parser.
+    import atiyah.cli as cli_module
+
+    full, _ = cli_module._shared_parsers()
+    direct = _call(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli_module, "_shared_parsers", lambda: (full, {}))
+        assert _call(argv) == direct
 
 
 def test_rebound_renderer_is_called(capsys, monkeypatch):
