@@ -506,8 +506,9 @@ def express_in_generator(index: int, chain: str = "even") -> IntegerPolynomial:
         raise ValueError("index must be >= 1")
     if index * index > MAX_EXPRESS_COEFFICIENTS:
         raise ValueError(
-            f"writing [F_{index}] would take about {index * index} coefficients, "
-            f"above the limit of {MAX_EXPRESS_COEFFICIENTS}"
+            f"[F_{index}] would print about {index // 2} coefficients of up to "
+            f"about {7 * index // 10} bits, above the output limit of index^2 <= "
+            f"{MAX_EXPRESS_COEFFICIENTS} (index <= {math.isqrt(MAX_EXPRESS_COEFFICIENTS)})"
         )
     if chain == "even":
         return IntegerPolynomial.of(_even_chain(index))

@@ -15,11 +15,15 @@ they act through the dual.  Parentheses nest at most ``MAX_NESTING`` deep,
 which also bounds the depth of the expression tree.
 
 The source is tokenized by one compiled pattern into (kind, value,
-position) tuples.  A sum is accumulated once: every part's terms, a ``k X``
-part's times k, are added into one dict that becomes one
-:class:`BundleSum`.  Products go through ``BundleSum.tensor``,
-with its size check, and powers through ``BundleSum.tensor_power``, which
-powers one line class ``L^e`` in closed form ahead of its plan.
+position) tuples and parsed into a tree of four node kinds: :class:`Atom`
+(``O``, ``L`` or ``F_r``, each a class L^e ⊗ F_r), :class:`Sum`,
+:class:`Product` and :class:`Power`.  A sum holds (multiplicity, node)
+parts, so ``k X`` is the part (k, X), and a lone ``k X`` is a one-part sum.
+It is accumulated once: every part's terms, times its multiplicity, are
+added into one dict that becomes one :class:`BundleSum`.  Products go
+through ``BundleSum.tensor``, with its size check, and powers through
+``BundleSum.tensor_power``, which powers one line class ``L^e`` in closed
+form ahead of its plan.
 """
 
 from __future__ import annotations
@@ -82,23 +86,17 @@ class Expression:
 
 
 @dataclass(frozen=True)
-class Trivial(Expression):
-    def evaluate(self, context):
-        return BundleSum.unit(context)
+class Atom(Expression):
+    """The class L^exponent ⊗ F_index: ``O``, ``L`` or ``F_r``."""
 
-
-@dataclass(frozen=True)
-class Line(Expression):
-    def evaluate(self, context):
-        return BundleSum.single(context, context.line(1))
-
-
-@dataclass(frozen=True)
-class Atiyah(Expression):
+    exponent: int
     index: int
 
     def evaluate(self, context):
-        return BundleSum.single(context, context.atiyah(self.index))
+        return BundleSum(context, {context.bundle(self.exponent, self.index): 1})
+
+
+_O, _L = Atom(0, 1), Atom(1, 1)
 
 
 @dataclass(frozen=True)
@@ -127,28 +125,18 @@ class Product(Expression):
 
 
 @dataclass(frozen=True)
-class Repeat(Expression):
-    count: int
-    inner: Expression
-
-    def evaluate(self, context):
-        return self.inner.evaluate(context).scale(self.count)
-
-
-@dataclass(frozen=True)
 class Sum(Expression):
-    parts: tuple[Expression, ...]
+    """Parts (multiplicity, node): ``k X`` is (k, X), any other part (1, X)."""
+
+    parts: tuple[tuple[int, Expression], ...]
 
     def evaluate(self, context):
-        """Every part's terms added into one dict, a ``k X`` part as k times
-        the terms of X.  Each part is evaluated, ``0 X`` too, so that X's
-        errors still surface; coefficients are >= 0, so no zero is stored."""
+        """Every part's terms, times its multiplicity, added into one dict.
+        Each part is evaluated, ``0 X`` too, so that X's errors still
+        surface; coefficients are >= 0, so no zero is stored."""
         acc: dict[IndecomposableBundle, int] = {}
         get = acc.get
-        for part in self.parts:
-            count = 1
-            if type(part) is Repeat:
-                count, part = part.count, part.inner
+        for count, part in self.parts:
             terms = part.evaluate(context).terms
             if count:
                 for b, c in terms.items():
@@ -194,20 +182,22 @@ class _Parser:
         while self.kind() == "plus":
             self.take()
             parts.append(self.term())
-        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+        if len(parts) == 1 and parts[0][0] == 1:
+            return parts[0][1]
+        return Sum(tuple(parts))
 
-    def term(self) -> Expression:
-        if self.kind() == "int":
-            count = self.take()[1]
-            nxt = self.kind()
-            if nxt == "star":
-                self.take()
-                return Repeat(count, self.factors())
-            if nxt in ("O", "L", "F", "lparen"):
-                return Repeat(count, self.factors())
-            # Bare integer: that many copies of O.
-            return Repeat(count, Trivial())
-        return self.factors()
+    def term(self) -> tuple[int, Expression]:
+        """(multiplicity, node): a leading integer is the multiplicity, and a
+        bare integer k is k copies of O."""
+        if self.kind() != "int":
+            return 1, self.factors()
+        count = self.take()[1]
+        nxt = self.kind()
+        if nxt == "star":
+            self.take()
+        elif nxt not in ("O", "L", "F", "lparen"):
+            return count, _O
+        return count, self.factors()
 
     def factors(self) -> Expression:
         fs = [self.factor()]
@@ -231,11 +221,11 @@ class _Parser:
     def primary(self) -> Expression:
         kind, _, position = self.take()
         if kind == "O":
-            return Trivial()
+            return _O
         if kind == "L":
-            return Line()
+            return _L
         if kind == "F":
-            return Atiyah(self._f_index())
+            return Atom(0, self._f_index())
         if kind == "lparen":
             self.depth += 1
             if self.depth > MAX_NESTING:

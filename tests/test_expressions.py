@@ -3,9 +3,11 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import atiyah.bundles as bundles_module
+import atiyah.characters as characters_module
 from atiyah import (
     BundleSum,
     ExpressionError,
@@ -267,3 +269,196 @@ def test_output_terms_sorted_by_index_then_exponent():
         [(NT.bundle(2, 3), 1), (NT.bundle(-1, 3), 1), (NT.bundle(0, 1), 1), (NT.bundle(1, 2), 4)],
     )
     assert str(x) == "O + 4 L*F_2 + L^-1*F_3 + L^2*F_3"
+
+
+# -- independent point evaluation ----------------------------------------------
+#
+# L^e ⊗ F_r ↦ t^e·[r]_q is a ring homomorphism on K(X), and the dual acts as
+# t ↦ 1/t, so an expression and its decomposition agree at every point (t0,
+# q0).  Trees are tuples: ("atom", e, r) is L^e ⊗ F_r, ("sum", ((m, node),
+# ...)), ("product", nodes) and ("power", base, exponents), the chain applied
+# left to right.  Values are taken modulo P = 2^61 - 1 at a random q0, as
+# vectors of n residues in F_P[t]/(t^n - 1): over L of order n, with t itself
+# (so no root of unity is needed, and 4 does not divide P - 1), and over
+# non-torsion L with n = 1 and t = t0 at random.  Nothing here calls into
+# bundles or characters; the result is read as its (index, exponent) pairs.
+
+P = (1 << 61) - 1
+_TORSIONS = (0, 1, 2, 3, 4, 6)
+
+
+def _bracket(r, q0):
+    """[r]_q at q0: (q0^r - q0^-r) / (q0 - q0^-1) modulo P."""
+    return (pow(q0, r, P) - pow(q0, -r, P)) * pow(q0 - pow(q0, -1, P), -1, P) % P
+
+
+def _cyclic_product(x, y):
+    n = len(x)
+    out = [0] * n
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[(i + j) % n] = (out[(i + j) % n] + a * b) % P
+    return out
+
+
+def _cyclic_power(x, m):
+    result = [1] + [0] * (len(x) - 1)
+    while m:
+        if m & 1:
+            result = _cyclic_product(result, x)
+        x = _cyclic_product(x, x)
+        m >>= 1
+    return result
+
+
+def tree_value(node, point, sign=1):
+    """The tree's character at ``point`` = (n, t0, q0); sign -1 evaluates its dual."""
+    n, t0, q0 = point
+    kind = node[0]
+    if kind == "atom":
+        _, e, r = node
+        value = [0] * n
+        value[sign * e % n] = pow(t0, sign * e, P) * _bracket(r, q0) % P
+        return value
+    if kind == "sum":
+        value = [0] * n
+        for m, part in node[1]:
+            for i, c in enumerate(tree_value(part, point, sign)):
+                value[i] = (value[i] + m * c) % P
+        return value
+    if kind == "product":
+        value = [1] + [0] * (n - 1)
+        for factor in node[1]:
+            value = _cyclic_product(value, tree_value(factor, point, sign))
+        return value
+    _, base, exponents = node
+    *head, last = exponents
+    inner = ("power", base, tuple(head)) if head else base
+    if last == 0:
+        return [1] + [0] * (n - 1)
+    return _cyclic_power(tree_value(inner, point, sign if last > 0 else -sign), abs(last))
+
+
+def sum_value(x, point):
+    """Σ m·t^e·[r]_q over the terms m·L^e ⊗ F_r of a decomposition, at ``point``."""
+    n, t0, q0 = point
+    value = [0] * n
+    for (index, exponent), m in x.terms.items():
+        slot = exponent % n
+        value[slot] = (value[slot] + m * pow(t0, exponent, P) * _bracket(index, q0)) % P
+    return value
+
+
+_SUM, _TERM, _PRODUCT, _POWER, _PRIMARY = range(5)
+
+
+def render(node, rng, level=_SUM):
+    """Write a tree in the grammar, with random spellings; a text is put in
+    parentheses where ``level`` binds tighter than its own precedence."""
+    kind = node[0]
+    if kind == "atom":
+        _, e, r = node
+        f = rng.choice((f"F_{r}", f"F({r})", f"F{r}"))
+        if r == 1:
+            text = rng.choice(("O", f)) if e == 0 else "L" if e == 1 else f"L^{e}"
+            prec = _PRIMARY if e in (0, 1) else _POWER
+        else:
+            text = f if e == 0 else f"L*{f}" if e == 1 else f"L^{e}*{f}"
+            prec = _PRIMARY if e == 0 else _PRODUCT
+    elif kind == "sum":
+        parts = []
+        for m, part in node[1]:
+            if m == 1 and rng.random() < 0.7:
+                parts.append(render(part, rng, _TERM))
+            elif part == ("atom", 0, 1) and rng.random() < 0.5:
+                parts.append(str(m))  # a bare integer: m copies of O
+            else:
+                parts.append(f"{m}{rng.choice((' ', '*', ' * '))}{render(part, rng, _PRODUCT)}")
+        text, prec = " + ".join(parts), _SUM
+    elif kind == "product":
+        text = rng.choice(("*", " * ")).join(render(f, rng, _PRODUCT) for f in node[1])
+        prec = _PRODUCT
+    else:
+        _, base, exponents = node
+        text = render(base, rng, _PRIMARY) + "".join(f"^{e}" for e in exponents)
+        prec = _POWER
+    return f"({text})" if prec < level else text
+
+
+_atoms = st.builds(lambda e, r: ("atom", e, r), st.integers(-3, 3), st.integers(1, 5))
+
+
+def _compounds(children):
+    return st.one_of(
+        st.lists(st.tuples(st.integers(0, 3), children), min_size=1, max_size=3).map(
+            lambda parts: ("sum", tuple(parts))
+        ),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: ("product", tuple(fs))),
+        st.tuples(children, st.lists(st.integers(-3, 4), min_size=1, max_size=2)).map(
+            lambda pair: ("power", pair[0], tuple(pair[1]))
+        ),
+    )
+
+
+trees = st.recursive(_atoms, _compounds, max_leaves=6)
+
+
+def point_values(tree, src, torsion, t0, q0):
+    """(decomposition's value, tree's value) at one point: t0 is used only
+    over non-torsion L."""
+    point = (1, t0, q0) if torsion == 0 else (torsion, 1, q0)
+    result = evaluate_expression(src, TorsionContext(torsion))
+    return sum_value(result, point), tree_value(tree, point)
+
+
+@given(
+    trees,
+    st.sampled_from(_TORSIONS),
+    st.integers(1, P - 1),
+    st.integers(2, P - 2),
+    st.randoms(use_true_random=False),
+)
+@example(("sum", ((3, ("atom", 0, 1)),)), 0, 5, 7, random.Random(0))
+@example(("power", ("sum", ((2, ("atom", 0, 2)),)), (2,)), 4, 1, 9, random.Random(0))
+@example(("power", ("sum", ((1, ("atom", -1, 2)), (1, ("atom", 0, 1)))), (-3,)), 6, 1, 11,
+         random.Random(0))
+@example(("power", ("sum", ((1, ("atom", -1, 2)), (1, ("atom", 0, 1)))), (4, -4)), 4, 1, 13,
+         random.Random(0))  # the recurrence, folded modulo t^4 - 1
+@settings(max_examples=300, deadline=None)
+def test_every_form_agrees_with_its_point_value(tree, torsion, t0, q0, rng):
+    src = render(tree, rng)
+    try:
+        decomposition, value = point_values(tree, src, torsion, t0, q0)
+    except ValueError as err:  # a power of the zero sum, or over a size limit
+        if "zero sum" not in str(err) and "limit" not in str(err):
+            raise
+        reject()
+    assert decomposition == value, src
+
+
+def _off_by_one(route, calls):
+    """``route`` with 1 added to the multiplicity of its first term."""
+
+    def mutated(*args):
+        terms = dict(route(*args))
+        terms[next(iter(terms))] += 1
+        calls.append(args)
+        return terms
+
+    return mutated
+
+
+@pytest.mark.parametrize("module, route, tree", [
+    (bundles_module, "_cg_product",
+     ("product", (("atom", 0, 2), ("atom", 0, 3)))),
+    (characters_module, "_recurrence_power",
+     ("power", ("atom", 0, 2), (40,))),
+])
+@pytest.mark.parametrize("torsion", [0, 4])
+def test_point_value_catches_a_mutated_route(monkeypatch, module, route, tree, torsion):
+    calls = []
+    monkeypatch.setattr(module, route, _off_by_one(getattr(module, route), calls))
+    src = render(tree, random.Random(0))
+    decomposition, value = point_values(tree, src, torsion, 12345, 678910)
+    assert calls, f"{src} did not go through {route}"
+    assert decomposition != value
