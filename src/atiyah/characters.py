@@ -91,7 +91,8 @@ def _unpack(v: int, count: int, width: int) -> Sequence[int]:
 
     Every slot value must be non-negative and fit ``width`` bytes.  Widths
     that one cast reads come back as a view of the bytes, which makes each
-    value only when it is read.
+    value only when it is read.  Other widths are split into slots by one
+    ``struct.iter_unpack``, each slot read by its own ``int.from_bytes``.
     """
     data = v.to_bytes(count * width, "little")
     if width == 1:
@@ -99,10 +100,8 @@ def _unpack(v: int, count: int, width: int) -> Sequence[int]:
     fmt = _FORMATS.get(width)
     if fmt:
         return memoryview(data).cast(fmt)
-    return [
-        int.from_bytes(data[at:at + width], "little")
-        for at in range(0, count * width, width)
-    ]
+    slots = map(itemgetter(0), struct.iter_unpack(f"{width}s", data))
+    return list(map(int.from_bytes, slots, repeat("little")))
 
 
 def _differences(
@@ -395,8 +394,8 @@ def _recurrence_power(
     words, width, (t_lo, _, _, top, step), count, slots = plan
     if words > MAX_LOOP_WORDS:
         raise PowerTooLargeError(
-            f"tensor power {power} is too large: it would take more than "
-            f"{MAX_LOOP_WORDS} word operations"
+            f"tensor power {power} is too large: the recurrence would run "
+            f"above the limit of {MAX_LOOP_WORDS} word operations"
         )
     reduce, bits = x.context.reduce_exponent, 8 * width
     lowest: dict[int, int] = {}  # A_0, by lifted line exponent

@@ -37,8 +37,91 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises usage errors, and reads a well-formed
+    argv straight off its table (:func:`_read_table`) when it has one.
+
+    ``parse_args`` reads the plain shape ``POS... (--opt VALUE)...``, in any
+    order, with each value through its action's own ``type`` and
+    ``choices``.  It falls back to argparse, which parses the argv from
+    scratch and gives its own result or message, on: a token that starts
+    with ``-`` and is not an exact store-option string (``-h``, ``--``,
+    ``--opt=value``, an abbreviation, a negative number); a missing value or
+    one that starts with ``-``; an option given twice; the wrong number of
+    positionals; a missing required option; a ``type`` that raises or a
+    value outside ``choices``.  A parser without a table always falls back.
+    """
+
+    _table = None
+
     def error(self, message):
         raise _UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        if self._table is not None and args is not None and namespace is None:
+            values = _read(self._table, args)
+            if values is not None:
+                return argparse.Namespace(**values)
+        return super().parse_args(args, namespace)
+
+
+def _read_table(parser: _Parser):
+    """(store options by option string, positionals, defaults, required
+    option dests) of a parser, from its own actions; None for a parser with
+    an action other than -h and plain store actions, a positional or option
+    whose ``nargs`` is set (``p1``'s degrees), or a string default that
+    argparse would convert through a ``type``."""
+    options, positionals, required = {}, [], []
+    defaults = dict(parser._defaults)  # set_defaults, for the dests no action has
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if (type(action) is not argparse._StoreAction or action.nargs is not None
+                or isinstance(action.default, str) and action.type is not None):
+            return None
+        defaults[action.dest] = action.default
+        if not action.option_strings:
+            positionals.append(action)
+            continue
+        options.update(dict.fromkeys(action.option_strings, action))
+        if action.required:
+            required.append(action.dest)
+    return options, positionals, defaults, required
+
+
+def _value(action, text: str):
+    """A token's value through its action's type and choices; raises when
+    argparse would refuse it."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(value)
+    return value
+
+
+def _read(table, args) -> dict | None:
+    """The parsed values of an argv of the plain shape, or None to fall back."""
+    options, positionals, defaults, required = table
+    given, tokens = {}, []
+    arg_iter = iter(args)
+    try:
+        for token in arg_iter:
+            if token[:1] != "-":
+                tokens.append(token)
+                continue
+            action = options.get(token)
+            text = next(arg_iter, "-")  # so that a missing value falls back
+            if action is None or text[:1] == "-" or action.dest in given:
+                return None
+            given[action.dest] = _value(action, text)
+        if len(tokens) != len(positionals):
+            return None
+        for action, text in zip(positionals, tokens):
+            given[action.dest] = _value(action, text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    for dest in required:
+        if dest not in given:
+            return None
+    return {**defaults, **given}
 
 
 def _int(text: str) -> int:
@@ -342,11 +425,15 @@ def build_parser(command: str | None = None) -> _Parser:
     ``main`` passes its first argument as ``command`` and parses the rest with
     the subcommand's parser, which skips the full parser's dispatch through
     its subparsers action; the usage errors are the same, since the subparser
-    raises them on either route.  The parsers are built once, on first use
-    (about 2 ms), and a copy costs about 3 us.  Each caller gets its own copy,
-    so that rebinding an attribute of the result, as a tracer that wraps
+    raises them on either route.  A subcommand's ``parse_args`` reads a
+    well-formed argv straight off the table that :func:`_read_table` makes
+    from its own actions, and leaves every other argv, and all of ``p1``'s,
+    to argparse (see :class:`_Parser`); the full parser always uses argparse.
+    The parsers and their tables are built once, on first use (about 2 ms),
+    and a copy costs about 3 us.  Each caller gets its own copy, so that
+    rebinding an attribute of the result, as a tracer that wraps
     ``parse_args`` does, leaves later calls untouched.  The copies share
-    their arguments and subparsers: add none.
+    their arguments, tables and subparsers: add none.
     """
     parser, subparsers = _shared_parsers()
     return copy.copy(subparsers.get(command, parser))
@@ -354,7 +441,8 @@ def build_parser(command: str | None = None) -> _Parser:
 
 @functools.cache
 def _shared_parsers() -> tuple[_Parser, dict[str, _Parser]]:
-    """The full parser, and its subparsers by command name."""
+    """The full parser, and its subparsers by command name, each with the
+    table of its direct read."""
     parser = _Parser(
         prog="atiyah",
         description="Exact K-ring calculator for degree-zero bundles on an elliptic curve",
@@ -398,6 +486,8 @@ def _shared_parsers() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--bound", type=_positive_int, default=6)
     _add_common(p, _cmd_p1, _p1_to_json, _p1_to_text, torsion=False)
 
+    for sub in subs.choices.values():
+        sub._table = _read_table(sub)
     return parser, subs.choices
 
 

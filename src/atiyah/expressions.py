@@ -16,8 +16,12 @@ which also bounds the depth of the expression tree.
 
 The source is tokenized by one compiled pattern into (kind, value,
 position) tuples and parsed into a tree of four node kinds: :class:`Atom`
-(``O``, ``L`` or ``F_r``, each a class L^e ⊗ F_r), :class:`Sum`,
-:class:`Product` and :class:`Power`.  A sum holds (multiplicity, node)
+(a class L^e ⊗ F_r), :class:`Sum`, :class:`Product` and :class:`Power`.
+An ``Atom`` is ``O``, ``L`` or ``F_r``, and also a line power (``L^e``,
+``(L^-1)^-1^2``, ``O^5``) and a product of line atoms with at most one
+``F_r``: each class name ``L^e*F_r`` parses to one ``Atom(e, r)``, which
+evaluates by one ``context.bundle`` call, and a product's leading run of
+such factors folds the same way.  A sum holds (multiplicity, node)
 parts, so ``k X`` is the part (k, X), and a lone ``k X`` is a one-part sum.
 It is accumulated once: every part's terms, times its multiplicity, are
 added into one dict that becomes one :class:`BundleSum`.  Products go
@@ -87,7 +91,8 @@ class Expression:
 
 @dataclass(frozen=True)
 class Atom(Expression):
-    """The class L^exponent ⊗ F_index: ``O``, ``L`` or ``F_r``."""
+    """The class L^exponent ⊗ F_index: ``O``, ``L``, ``F_r``, a line power
+    or a product of line atoms with at most one ``F_r``."""
 
     exponent: int
     index: int
@@ -200,13 +205,28 @@ class _Parser:
         return count, self.factors()
 
     def factors(self) -> Expression:
-        fs = [self.factor()]
+        """The factors' product.  Its leading atoms fold, as they are read,
+        into one class L^(Σe) ⊗ F_r while at most one of them has index
+        r >= 2: ``L^2*F_3*L`` is Atom(3, 3), ``L*F_2*F_3`` the product of
+        Atom(1, 2) and F_3.  The fold gives the product's value and errors:
+        a line factor only shifts the exponent, and a product of two classes
+        one of which is a line is far below the size check."""
+        node = self.factor()
+        rest = []
         while self.kind() == "star":
             self.take()
-            fs.append(self.factor())
-        return fs[0] if len(fs) == 1 else Product(tuple(fs))
+            factor = self.factor()
+            if (not rest and type(node) is Atom and type(factor) is Atom
+                    and (node.index == 1 or factor.index == 1)):
+                # One index is 1, so their product is the other.
+                node = Atom(node.exponent + factor.exponent, node.index * factor.index)
+            else:
+                rest.append(factor)
+        return Product((node, *rest)) if rest else node
 
     def factor(self) -> Expression:
+        """A primary and its exponent chain.  A line atom's chain folds into
+        its exponent, (L^e)^m = L^(e·m): ``(L^-1)^-1^2`` is Atom(2, 1)."""
         node = self.primary()
         exponents = []
         while self.kind() == "caret":
@@ -216,7 +236,14 @@ class _Parser:
                 self.take()
                 sign = -1
             exponents.append(sign * self.expect("int", "an integer exponent")[1])
-        return Power(node, tuple(exponents)) if exponents else node
+        if not exponents:
+            return node
+        if type(node) is Atom and node.index == 1:
+            exponent = node.exponent
+            for m in exponents:
+                exponent *= m
+            return Atom(exponent, 1)
+        return Power(node, tuple(exponents))
 
     def primary(self) -> Expression:
         kind, _, position = self.take()

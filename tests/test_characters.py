@@ -296,6 +296,23 @@ def test_slot_by_slot_packing_matches_double_loop(monkeypatch):
     assert BundleSum(ctx, character_power(x, 5)) == x.tensor(x).tensor(x).tensor(x).tensor(x)
 
 
+def unpack_slot_by_slot(v, count, width):
+    """The slots of a packed integer, each cut from its bytes and read alone."""
+    data = v.to_bytes(count * width, "little")
+    return [int.from_bytes(data[at:at + width], "little") for at in range(0, count * width, width)]
+
+
+@pytest.mark.parametrize("width", [3, 5, 9, 20, 40])
+@pytest.mark.parametrize("count", [0, 1, 7, 2000])
+def test_unpack_matches_the_slot_by_slot_read(width, count):
+    rng = random.Random(width * 10007 + count)
+    values = [rng.choice((0, 1, (1 << 8 * width) - 1, rng.getrandbits(8 * width)))
+              for _ in range(count)]
+    v = sum(value << 8 * width * i for i, value in enumerate(values))
+    assert list(characters_module._unpack(v, count, width)) == values
+    assert unpack_slot_by_slot(v, count, width) == values
+
+
 @pytest.mark.parametrize(
     "x",
     [

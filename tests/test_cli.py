@@ -11,7 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atiyah import TorsionContext, evaluate_expression, s_set_reachable
@@ -419,6 +419,7 @@ def test_oversized_power_exits_two_promptly(argv):
         ("express", "--index", "1000000"),
         ("sset", "--rank", "1", "--bound", "100000000"),
         ("verify", "--rmax", "128"),
+        ("tensor", "F_3^3^4^4^3"),  # refused by the recurrence's own limit
     ],
 )
 def test_oversized_work_exits_two_promptly(argv):
@@ -648,6 +649,11 @@ _SEQUENCE = [
     ("--format", "json"),
     ("p1",),
     ("verify", "--rmax", "2", "--torsion", "2"),
+    ("power", "F_2", "--torsion", "4", "3"),
+    ("power", "--torsion", "4", "F_2", "3"),
+    ("tensor", "", "--format", "json"),
+    ("tensor", "F_2", "--out", ""),
+    ("classify", "--rank", "2", "--rank", "3"),
 ]
 
 
@@ -739,6 +745,50 @@ def test_every_call_parses_once_through_the_wrapped_parser(monkeypatch):
         assert parsed == [f"atiyah {argv[0]}" if known else "atiyah"], argv
 
 
+def test_well_formed_argv_is_read_without_argparse(monkeypatch):
+    # A subcommand's parser reads an argv of the plain shape off its own
+    # table; p1's degrees (nargs="+") and -h go to argparse, once.
+    import argparse
+
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv, parsed in [
+        (("classify", "--rank", "2", "--torsion", "4", "--format", "json"), []),
+        (("power", "F_2", "--torsion", "4", "3"), []),
+        (("p1", "-2", "3"), ["atiyah p1"]),
+        (("tensor", "-h"), ["atiyah tensor"]),
+    ]:
+        del calls[:]
+        _call(argv)
+        assert calls == parsed, argv
+
+
+def test_direct_read_gives_argparse_namespace():
+    # The same Namespace, defaults and set_defaults included, as argparse's
+    # own parse of the same argv.
+    import argparse
+
+    import atiyah.cli as cli_module
+
+    _, subparsers = cli_module._shared_parsers()
+    for argv in [
+        ("classify", "--rank", "2", "--torsion", "4", "--format", "json"),
+        ("express", "--index", "9", "--chain", "odd"),
+        ("grid",),
+        ("power", "--out", "", "F_2", "3"),
+        ("tensor", "L*F_2 + O"),
+    ]:
+        parser = subparsers[argv[0]]
+        direct = parser.parse_args(list(argv[1:]))
+        assert direct == argparse.ArgumentParser.parse_args(parser, list(argv[1:])), argv
+
+
 # -- the subcommand's own parser against the full one ----------------------------------
 
 # Each subcommand's grammar: its positionals, then its options with values
@@ -756,6 +806,7 @@ _GRAMMARS = {
 _OPTION_VALUES = st.one_of(
     _SMALL, st.sampled_from(["even", "odd", "text", "json", "x", "1.5", "", "-", "0x10", "-1"])
 )
+_PLAIN_VALUES = st.one_of(_SMALL, st.sampled_from(["even", "odd"]))
 _JUNK = st.sampled_from(
     ["--", "-h", "--help", "--he", "--bogus", "--torsionx", "-x", "-", "extra", "-3", "--format"]
 )
@@ -763,15 +814,24 @@ _JUNK = st.sampled_from(
 
 @st.composite
 def _mutated_argv(draw):
-    """argv of one subcommand's grammar, then mutated: values dropped, options
-    abbreviated, written as --opt=value or repeated, junk inserted (--, -h,
-    unknown options, bad integers), or the command replaced."""
+    """argv of one subcommand's grammar, then mutated: a positional moved
+    after the options, values dropped, options abbreviated, written as
+    --opt=value or repeated, junk inserted (--, -h, unknown options, bad
+    integers), or the command replaced."""
     command = draw(st.sampled_from(sorted(_GRAMMARS)))
     positionals, options = _GRAMMARS[command]
+    # Half the argvs keep the plain shape, so that many reach the subcommand
+    # parser's direct read; the other half are mutated.
+    mutated = draw(st.booleans())
+    styles = ["pair", "equals", "abbreviated", "missing", "repeated"] if mutated else ["pair"]
     argv = [draw(value) for value in positionals]
-    for option in draw(st.lists(st.sampled_from([*options, "--format"]), max_size=3)):
-        value = draw(st.sampled_from(["text", "json"]) if option == "--format" else _OPTION_VALUES)
-        style = draw(st.sampled_from(["pair", "equals", "abbreviated", "missing", "repeated"]))
+    drawn = st.lists(st.sampled_from([*options, "--format"]), max_size=3, unique=not mutated)
+    for option in draw(drawn):
+        if option == "--format":
+            value = draw(st.sampled_from(["text", "json"]))
+        else:
+            value = draw(_OPTION_VALUES if mutated else _PLAIN_VALUES)
+        style = draw(st.sampled_from(styles))
         if style == "equals":
             argv.append(f"{option}={value}")
         elif style == "abbreviated":
@@ -782,6 +842,10 @@ def _mutated_argv(draw):
             argv += [option, value, option, draw(_OPTION_VALUES)]
         else:
             argv += [option, value]
+    if positionals and draw(st.booleans()):
+        argv.append(argv.pop(draw(st.integers(0, len(positionals) - 1))))
+    if not mutated:
+        return [command, *argv]
     for _ in range(draw(st.integers(0, 2))):
         argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
     head = draw(st.sampled_from([command] * 6 + ["frobnicate", "tens", "-h", ""]))
@@ -789,7 +853,10 @@ def _mutated_argv(draw):
 
 
 @given(_mutated_argv())
-@settings(max_examples=400, deadline=None)
+@example(["express", "--index", "3", "--chain", "x"])  # a value outside choices
+@example(["tensor", "F_2", "--", "4"])  # -- is no option, nor a prefix of one
+@example(["classify", "--rank", "2", "--format", "json", "--format", "text"])  # the last wins
+@settings(max_examples=800, deadline=None)
 def test_subcommand_parser_matches_the_full_parser(argv):
     # The full-parser route: with no subcommand known to main, every call
     # goes through the full parser and its subparsers action, as all calls

@@ -16,7 +16,7 @@ from atiyah import (
     evaluate_expression,
     parse_expression,
 )
-from atiyah.expressions import MAX_NESTING, _tokenize
+from atiyah.expressions import MAX_NESTING, Atom, Power, Product, Sum, _tokenize
 
 NT = TorsionContext(0)
 
@@ -81,6 +81,46 @@ def test_whitespace_insignificant():
 
 def test_stacked_powers_left_associative():
     assert evaluate_expression("F_2^2^2", NT) == evaluate_expression("(F_2^2)^2", NT)
+
+
+@pytest.mark.parametrize("src, node", [
+    ("L^2*F_3", Atom(2, 3)),
+    ("(L^-1)^-1^2", Atom(2, 1)),
+    ("L^0", Atom(0, 1)),
+    ("O^5", Atom(0, 1)),
+    ("F_1^-3", Atom(0, 1)),
+    ("F_3*L^-2*L", Atom(-1, 3)),
+    ("L*(L^2)^-3*F(4)*O", Atom(-5, 4)),
+    ("2 L^2*F_3", Sum(((2, Atom(2, 3)),))),
+])
+def test_class_names_parse_as_one_atom(src, node):
+    assert parse_expression(src) == node
+
+
+@pytest.mark.parametrize("src, node", [
+    ("F_2*F_3", Product((Atom(0, 2), Atom(0, 3)))),
+    ("L*F_2*F_3", Product((Atom(1, 2), Atom(0, 3)))),
+    ("F_2*L*F_3", Product((Atom(1, 2), Atom(0, 3)))),
+    ("F_2*F_3*L", Product((Atom(0, 2), Atom(0, 3), Atom(1, 1)))),
+    ("F_2^2*L", Product((Power(Atom(0, 2), (2,)), Atom(1, 1)))),
+    ("F_4^1", Power(Atom(0, 4), (1,))),
+    ("(L*F_2)^-1", Power(Atom(1, 2), (-1,))),
+    ("(2 L)^2", Power(Sum(((2, Atom(1, 1)),)), (2,))),
+    ("(L + O)*L", Product((Sum(((1, Atom(1, 1)), (1, Atom(0, 1)))), Atom(1, 1)))),
+])
+def test_other_products_and_powers_keep_their_nodes(src, node):
+    assert parse_expression(src) == node
+
+
+def test_a_folded_class_evaluates_without_products_or_powers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a folded class took a product or a power")
+
+    monkeypatch.setattr(BundleSum, "tensor", refuse)
+    monkeypatch.setattr(BundleSum, "tensor_power", refuse)
+    ctx = TorsionContext(4)
+    assert evaluate_expression("L^2*F_3*L^-3", ctx) == sum_of(ctx, (1, 3, 3))
+    assert evaluate_expression("(L^2)^-3*F_2", ctx) == sum_of(ctx, (1, 2, 2))
 
 
 # -- errors ----------------------------------------------------------------------
