@@ -5,7 +5,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import atiyah.characters as characters_module
@@ -21,7 +21,7 @@ from atiyah import (
     tensor_indec,
 )
 from atiyah.bundles import MAX_LOOP_WORDS
-from atiyah.characters import _bracket_row, _verify_pairs, character_power
+from atiyah.characters import _verify_pairs, character_power
 from atiyah.cli import _VERIFY_PROBES, main
 
 NT = TorsionContext(0)
@@ -150,40 +150,12 @@ def test_packed_product_matches_double_loop(ctx, data):
     assert a * BivariateCharacter.zero(ctx) == BivariateCharacter.zero(ctx)
 
 
-@st.composite
-def bracket_rows(draw, ctx):
-    """One t-row holding every other q-exponent from its lowest, of either
-    parity, to its highest.  The coefficients are positive (a zero would be a
-    gap) and at most one of 1, 3, ..., 3·2^70, so that product slots of 1, 2,
-    4 and 8 bytes and wider all occur."""
-    t = draw(st.integers(min_value=-8, max_value=8))
-    lo = draw(st.integers(min_value=-40, max_value=40))
-    top = draw(st.sampled_from((1, 3, 2**6, 2**12, 2**28, 2**40, 3 * 2**70)))
-    slots = draw(st.lists(st.integers(min_value=1, max_value=top), min_size=1, max_size=30))
-    return BivariateCharacter.of(ctx, {(t, lo + 2 * i): c for i, c in enumerate(slots)})
-
-
-@pytest.mark.parametrize("formats", ["as is", "emptied"])
-@given(contexts, st.data())
-@settings(max_examples=300, deadline=None)
-def test_bracket_row_product_matches_double_loop(formats, ctx, data):
-    # The packed path on its own: slot widths of 1, 2, 4 and 8 bytes and
-    # wider, read by one cast or, with no one-call formats, slot by slot.
-    a = data.draw(bracket_rows(ctx))
-    b = data.draw(bracket_rows(ctx))
-    assert _bracket_row(a.coeffs) and _bracket_row(b.coeffs)
-    with pytest.MonkeyPatch.context() as patch:
-        if formats == "emptied":
-            patch.setattr(characters_module, "_FORMATS", {})
-        assert a * b == naive_product(a, b)
-
-
 def test_verify_and_oracle_products_take_the_packed_path(monkeypatch, capsys):
-    # verify reads every pair off its one packed product: when every pair
-    # agrees, it makes no character product and calls no oracle_check.
-    # Every product that oracle_check makes multiplies two bracket rows, so
-    # none of them falls back to the plain loop.
-    calls, seen, declined = [], [], []
+    # verify and oracle_check read every pair off a packed integer product
+    # by one block test: when every pair agrees, neither makes a character
+    # product nor calls decompose_character.  A planted failure calls
+    # decompose_character once per failing pair, to name the oracle side.
+    calls = []
 
     def counted(fn):
         def wrapper(*args):
@@ -192,25 +164,36 @@ def test_verify_and_oracle_products_take_the_packed_path(monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr(BivariateCharacter, "__mul__", counted(BivariateCharacter.__mul__))
-    monkeypatch.setattr(characters_module, "oracle_check", counted(oracle_check))
+    monkeypatch.setattr(characters_module, "decompose_character", counted(decompose_character))
     for torsion in range(7):
         assert main(["verify", "--rmax", "12", "--torsion", str(torsion)]) == 0
     capsys.readouterr()
-    assert calls == []
-
-    def watched(coeffs):
-        row = _bracket_row(coeffs)
-        (seen if row else declined).append(dict(coeffs))
-        return row
-
-    monkeypatch.setattr(characters_module, "_bracket_row", watched)
     rng = random.Random(16)
+    pairs = []
     for _ in range(200):
         ctx = TorsionContext(rng.randrange(7))
         a, b = (ctx.bundle(rng.randint(-9, 9), rng.randint(1, 60)) for _ in range(2))
         assert oracle_check(ctx, a, b).agrees
-    assert len(seen) == 2 * 200
-    assert declined == []
+        pairs.append((ctx, a, b))
+    assert calls == []
+
+    # verify: the formula side fails at the 9 pairs F_r, F_s with r odd.
+    def odd_broken(ctx, a, b):
+        return BundleSum.zero(ctx) if a.index % 2 else tensor_indec(ctx, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(characters_module, "tensor_indec", odd_broken)
+        assert main(["verify", "--rmax", "6"]) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 9
+    assert calls == ["decompose_character"] * 9
+    # oracle_check: a block read one slot off fails the block test.
+    calls.clear()
+    unpack = characters_module._unpack
+    monkeypatch.setattr(characters_module, "_unpack", lambda v, n, w: [0, *unpack(v, n, w)[:-1]])
+    for pair in pairs[:20]:
+        with pytest.raises(NotACharacterError):
+            oracle_check(*pair)
+    assert calls == ["decompose_character"] * 20
 
 
 @pytest.mark.parametrize("torsion", range(7))
@@ -281,19 +264,19 @@ def test_product_of_one_row_spanning_like_a_bracket(qs):
 
 def test_slot_by_slot_packing_matches_double_loop(monkeypatch):
     # With no one-call formats (as on a big-endian machine) every slot width
-    # is packed and read slot by slot.  Only the bracket rows are packed; f
-    # (two t-rows) and the signed operand take the plain loop.
+    # is packed and read slot by slot: the powers' rows, and the two-byte
+    # slots of oracle_check once min(r, s) >= 256.
     monkeypatch.setattr(characters_module, "_FORMATS", {})
     ctx = TorsionContext(3)
     f = character(BundleSum.of(ctx, [(ctx.bundle(1, 40), 3), (ctx.bundle(2, 7), 1)]))
     signed = BivariateCharacter.of(ctx, {(0, 0): -(2**20), (1, 3): 5, (2, -1): -7})
     row = BivariateCharacter.of(ctx, {(1, q): 2**20 + q for q in range(-39, 40, 2)})
     wide = BivariateCharacter.of(ctx, {(2, q): 3 * 2**70 - q for q in range(-6, 7, 2)})
-    assert _bracket_row(row.coeffs) and _bracket_row(wide.coeffs)
     for a, b in [(row, row), (row, wide), (wide, wide), (f, f), (f, signed), (signed, signed)]:
         assert a * b == naive_product(a, b)
     x = BundleSum.of(ctx, [(ctx.bundle(1, 3), 1), (ctx.bundle(0, 2), 2)])
     assert BundleSum(ctx, character_power(x, 5)) == x.tensor(x).tensor(x).tensor(x).tensor(x)
+    assert oracle_check(ctx, ctx.bundle(1, 300), ctx.bundle(2, 257)).agrees
 
 
 def unpack_slot_by_slot(v, count, width):
@@ -503,6 +486,24 @@ def test_oracle_check_f3_f3():
 def test_oracle_check_with_unit():
     for r in range(1, 7):
         assert oracle_check(NT, NT.atiyah(1), NT.atiyah(r)).agrees
+
+
+rs_pairs = st.integers(min_value=1, max_value=10**4).flatmap(
+    lambda r: st.tuples(st.just(r), st.integers(min_value=1, max_value=10**4 // r)))
+exponents = st.integers(min_value=-9, max_value=9)
+
+
+@given(st.integers(min_value=0, max_value=6), rs_pairs, exponents, exponents)
+@example(4, (300, 257), 1, -2)  # two-byte slots
+@settings(max_examples=150, deadline=None)
+def test_oracle_check_reads_off_what_the_double_loop_peels(torsion, rs, ea, eb):
+    # oracle_check's block test against a different route: this file's
+    # double loop, then decompose_character's pass over the monomials.
+    ctx = TorsionContext(torsion)
+    r, s = rs
+    a, b = ctx.bundle(ea, r), ctx.bundle(eb, s)
+    product = naive_product(*(character(BundleSum.single(ctx, x)) for x in (a, b)))
+    assert oracle_check(ctx, a, b).from_character == decompose_character(product)
 
 
 def test_oracle_check_reports_both_sides():

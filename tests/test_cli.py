@@ -532,16 +532,25 @@ def test_unknown_subcommand(capsys):
 
 def test_verify_mismatch_exits_two(capsys, monkeypatch):
     # The math never disagrees, so force a mismatch to pin the CI gate: break
-    # the formula side where verify's packed route looks it up.
+    # the formula side where verify's packed route and oracle_check look it
+    # up.  oracle_check's character side must not move with it.
     import atiyah.characters as characters_module
-    from atiyah import BundleSum
+    from atiyah import BundleSum, oracle_check
 
     tensor_indec = characters_module.tensor_indec
+    ctx = TorsionContext(4)
+    pairs = [(ctx.bundle(0, 1), ctx.bundle(0, 1)), (ctx.bundle(1, 7), ctx.bundle(-2, 5)),
+             (ctx.bundle(3, 300), ctx.bundle(2, 260))]
+    unbroken = [oracle_check(ctx, a, b) for a, b in pairs]
 
     def broken_formula(ctx, a, b):
         return BundleSum.zero(ctx)
 
     monkeypatch.setattr(characters_module, "tensor_indec", broken_formula)
+    for (a, b), before in zip(pairs, unbroken):
+        check = oracle_check(ctx, a, b)
+        assert before.agrees and not check.agrees
+        assert check.from_character == before.from_character
     status, out, _ = run(capsys, "verify", "--rmax", "2")
     assert status == 2
     assert out.splitlines() == [
@@ -583,7 +592,9 @@ def test_breaking_the_packed_character_product_exits_two(capsys, monkeypatch):
     # Shift every slot that the packed product reads back by one: each
     # pair's block is then no character product, and verify must report
     # every pair as a failure line and exit 2, never agree or stop early.
+    # oracle_check, which reads its product the same way, raises.
     import atiyah.characters as characters_module
+    from atiyah import NotACharacterError, oracle_check
 
     unpack = characters_module._unpack
 
@@ -606,6 +617,11 @@ def test_breaking_the_packed_character_product_exits_two(capsys, monkeypatch):
     jsonschema.validate(payload, VERIFY_SCHEMA)
     assert (payload["pairs"], payload["agreements"], payload["ok"]) == (10, 0, False)
     assert payload["failures"] == lines[1:]
+    ctx = TorsionContext(4)
+    message = "^not a character: not invariant under q -> 1/q$"
+    for (ea, r), (eb, s) in [((0, 2), (0, 1)), ((1, 7), (-2, 5)), ((3, 300), (2, 260))]:
+        with pytest.raises(NotACharacterError, match=message):
+            oracle_check(ctx, ctx.bundle(ea, r), ctx.bundle(eb, s))
 
 
 def test_out_to_unwritable_path_is_a_computation_error(capsys, tmp_path):
