@@ -24,7 +24,8 @@ F_r ⊗ F_s is one step-2 run of indices with one coefficient, so the kernel
 records each pair of terms by the two ends of its run and sweeps the runs
 once, building each output term once.  Tensor powers of bundle sums take the
 cheaper of that kernel and a recurrence on characters, by a plan in
-estimated nanoseconds (:meth:`BundleSum.tensor_power`), while
+estimated nanoseconds (:meth:`BundleSum.tensor_power`) that sizes the
+repeated products in one loop over the powers (:func:`_loop_fits`), while
 ``KRingElement ** m`` stays repeated Clebsch-Gordan products, so the two can
 be compared.
 """
@@ -483,28 +484,6 @@ class KRingElement:
         return sum_text(self.named_terms())
 
 
-def _power_sizes(base: BundleSum, power: int, cap: int, spread: tuple[int, int, int, int, int]):
-    """Upper estimates (N_j, bits_j) of the number of terms of the j-th power
-    of ``base`` and of the bits of its multiplicities, for j = 1, ..., power;
-    ``spread`` is ``_spread(base)``.
-
-    N_1 is the number of terms of ``base``; for j >= 2 the line exponents of
-    the j-th power are sums of j exponents of ``base`` (at most
-    comb(d + j - 1, j) for d distinct ones, counted up to ``cap`` + 1, within
-    a range of j·span + 1, or n residues over L of order n) and its indices
-    are at most j·(top - 1) + 1, all of one parity when those of ``base``
-    are.  Its multiplicities are at most rank^j.
-    """
-    n = base.context.order
-    _, span, d, top, step = spread
-    bits = math.log2(base.rank())
-    yield len(base.terms), int(bits)
-    sums = d  # comb(d + j - 1, j), capped once it passes cap
-    for j in range(2, power + 1):
-        sums = min(sums * (d + j - 1) // j, cap + 1)
-        yield min(sums, j * span + 1, n or sums) * (j * top // step + 1), int(j * bits)
-
-
 # Measured time of the two routes of a tensor power, in nanoseconds on one
 # core of a shared 2-vCPU Xeon (Python 3.11), fitted by least relative error
 # over the estimates the plan makes, on random bases of one to four terms and
@@ -536,27 +515,38 @@ def _loop_fits(
 ) -> bool:
     """Whether power - 1 products by ``base`` are estimated at most ``ns_cap``
     nanoseconds and write at most ``words_cap`` multiplicity words; ``spread``
-    is ``_spread(base)``.  One walk over :func:`_power_sizes` sums both
-    estimates and stops once either passes its cap.  The product of the j-th
-    power by ``base`` meets N_j terms with those of ``base``: it takes
-    :func:`_product_words` of N_j terms against the index sum of ``base``
-    (the size that :data:`MAX_LOOP_WORDS` bounds), and writes at most N_{j+1}
-    terms of bits_{j+1} bits (the time), N_j and bits_j from
-    :func:`_power_sizes`.
+    is ``_spread(base)``.  One loop over j = 2, ..., power sums both
+    estimates and stops once either passes its cap.
+
+    The estimates rest on upper bounds N_j of the number of terms of the
+    j-th power and bits_j of the bits of its multiplicities.  N_1 is the
+    number of terms of ``base``; for j >= 2 the line exponents are sums of
+    j exponents of ``base`` (at most comb(d + j - 1, j) for d distinct
+    ones, counted up to the cap, within a range of j·span + 1, or n residues
+    over L of order n) and the indices are at most j·(top - 1) + 1, all of
+    one parity when those of ``base`` are; bits_j = j·log2(rank).  The
+    product of the (j-1)-th power by ``base`` meets N_(j-1) terms with
+    those of ``base``: it takes :func:`_product_words` of N_(j-1) terms
+    against the index sum of ``base`` (the size that :data:`MAX_LOOP_WORDS`
+    bounds), and writes at most N_j terms of bits_j bits (the time).
     """
     ns = (power - 1) * _PRODUCT_NS
     if power - 1 > words_cap or ns > ns_cap:
         return False  # each product writes at least one word and takes _PRODUCT_NS
+    _, span, d, top, step = spread
+    n, k = base.context.order, len(base.terms)
+    log_rank = math.log2(base.rank())
     index_sum = sum(b.index for b in base.terms)
-    d, words = len(base.terms), 0
-    # A term count that _power_sizes caps makes the sum it enters pass its own
-    # cap, so one walk capped at the larger cap decides as two walks would.
-    terms_cap = words_cap if ns_cap == math.inf else max(words_cap, int(ns_cap) // _TERM_NS)
-    sizes = _power_sizes(base, power, terms_cap, spread)
-    terms, _ = next(sizes)
-    for next_terms, bits in sizes:
+    # A term count capped at the larger cap makes the sum it enters pass its
+    # own cap, so one count decides for both.
+    cap = words_cap if ns_cap == math.inf else max(words_cap, int(ns_cap) // _TERM_NS)
+    terms, sums, words = k, d, 0  # N_1; comb(d + j - 1, j), capped once it passes cap
+    for j in range(2, power + 1):
+        sums = min(sums * (d + j - 1) // j, cap + 1)
+        next_terms = min(sums, j * span + 1, n or sums) * (j * top // step + 1)
+        bits = int(j * log_rank)
         words += _product_words(terms, index_sum, bits)
-        ns += terms * d * (bits // 64 + 1) * _PAIR_NS + next_terms * _TERM_NS
+        ns += terms * k * (bits // 64 + 1) * _PAIR_NS + next_terms * _TERM_NS
         if words > words_cap or ns > ns_cap:
             return False
         terms = next_terms

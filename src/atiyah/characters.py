@@ -41,9 +41,10 @@ multiplied, so ``BivariateCharacter`` has no sum, scaling or printed form.
 
 :func:`character_power` takes tensor powers by the J.C.P. Miller recurrence
 in q over t-rows packed the same way, one small-by-big product per monomial of
-the base and one exact division per row; ``KRingElement.__pow__`` keeps the
-Clebsch-Gordan route, and ``BundleSum.tensor_power`` chooses by cost on the
-sizes of :func:`_recurrence_plan`.
+the base's :func:`character` and one exact division per row; it is the only
+caller of :func:`character` in the library.  ``KRingElement.__pow__`` keeps
+the Clebsch-Gordan route, and ``BundleSum.tensor_power`` chooses by cost on
+the sizes of :func:`_recurrence_plan`.
 """
 
 from __future__ import annotations
@@ -220,11 +221,12 @@ class BivariateCharacter:
 
 
 def character(x: BundleSum) -> BivariateCharacter:
-    """Character of a bundle sum: additive, and multiplicative under tensor."""
-    if len(x.terms) == 1:
-        ((r, e), m), = x.terms.items()
-        monomials = zip(repeat(e), range(r - 1, -r, -2))
-        return BivariateCharacter(x.context, dict.fromkeys(monomials, m))
+    """Character of a bundle sum: additive, and multiplicative under tensor.
+
+    One pass writes the r monomials t^e·q^(r−1), ..., t^e·q^(1−r) of each
+    term L^e ⊗ F_r, times its multiplicity; the brackets of terms with one
+    line exponent add where they meet.
+    """
     acc: dict[tuple[int, int], int] = {}
     for (r, e), m in x.terms.items():
         for q in range(r - 1, -r, -2):

@@ -537,18 +537,7 @@ class ClassificationReport:
 
 
 def _compose(
-    order: int,
-    unipotent: bool,
-    generators: tuple[str, ...],
-    modulus: int | None,
-    *,
-    curve: str,
-    s_set: object,
-    rank: int | None = None,
-    torsion: int | None = None,
-    degrees: tuple[int, ...] | None = None,
-    minimality_note: str | None = None,
-    notes: tuple[str, ...] = (),
+    order: int, unipotent: bool, generators: tuple[str, ...], modulus: int | None, **fields
 ) -> ClassificationReport:
     """The report for R(E) = (line factor) ⊗ (unipotent factor), and G likewise.
 
@@ -556,7 +545,8 @@ def _compose(
     involved (0 for infinite): none, with trivial group, for order 1; Laurent,
     with Gm, for order 0; cyclotomic of ``modulus``, with mu_order,
     otherwise.  The unipotent factor, present when ``unipotent``,
-    is Q[y] with Ga.  The keyword arguments are the report's other fields.
+    is Q[y] with Ga.  ``fields`` are the report's other fields, passed on to
+    :class:`ClassificationReport`, whose defaults fill those left out.
     """
     if order == 1:
         line, group, modulus = None, (), None
@@ -570,17 +560,11 @@ def _compose(
     group = GroupScheme(group or ("1",))
     dim = krull_dimension(presentation)
     return ClassificationReport(
-        curve=curve,
-        s_set=s_set,
         presentation=presentation,
         krull_dim=dim,
         group=group,
         correspondence_holds=(dim == group.dimension),
-        rank=rank,
-        torsion=torsion,
-        degrees=degrees,
-        minimality_note=minimality_note,
-        notes=notes,
+        **fields,
     )
 
 
@@ -592,12 +576,9 @@ def classify(rank: int, torsion: int) -> ClassificationReport:
     when rank >= 2 and generated by [F_3] at odd rank, else by [F_2].  When
     rank and n are both even, R(E) holds L^e ⊗ F_j only for e + j odd, so
     [L^2] generates the line factor, the ring modulus is n/2 while G keeps
-    mu_n, and F_2 enters twisted by an odd power of L.
+    mu_n, and F_2 enters twisted by an odd power of L.  Its callees raise
+    ``ValueError`` for rank < 1, then for torsion < 0.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if torsion < 0:
-        raise ValueError("torsion order must be >= 0")
     return _classify_cell(rank, torsion, s_set_symbolic(rank, torsion))
 
 

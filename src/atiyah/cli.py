@@ -5,7 +5,7 @@ Reports go to stdout (optionally copied verbatim to --out FILE), diagnostics
 to stderr.  ``--format json`` prints the payload on one line, as the C
 encoder of ``json.dumps`` writes it without ``indent``; pipe it through
 ``python -m json.tool`` for an indented view.  Exit codes: 0 success, 1 usage
-error, 2 computation error.
+error, 2 computation error or a printed check that fails.
 """
 
 from __future__ import annotations
@@ -235,7 +235,8 @@ def _sset_to_text(result) -> str:
 
 
 def _cmd_classify(args):
-    return classify(args.rank, args.torsion), 0
+    report = classify(args.rank, args.torsion)
+    return report, 0 if report.correspondence_holds else 2
 
 
 def report_to_json(report: ClassificationReport) -> dict:
@@ -381,7 +382,7 @@ def _grid_to_text(rows) -> str:
 def _cmd_p1(args):
     report = p1_classify(args.degrees)
     enumerated = sorted(p1_s_set_enumerate(args.degrees, args.bound))
-    return (report, args.bound, enumerated), 0
+    return (report, args.bound, enumerated), 0 if report.correspondence_holds else 2
 
 
 def _p1_to_json(result) -> dict:

@@ -633,6 +633,13 @@ def test_oversized_power_rejected_up_front():
         ("O + L^100000000", 0, 2, "products"),
         ("F_250000", 0, 2, "products"),
         ("F_2", 0, 10**8, "refused"),
+        # One case on each side of a crossover.
+        ("F_2", 0, 2, "products"),
+        ("F_2", 0, 3, "packed"),
+        ("F_100", 0, 6, "products"),
+        ("F_100", 0, 7, "packed"),
+        ("F_1000", 0, 3, "products"),
+        ("F_1000", 0, 4, "refused"),
     ],
 )
 def test_tensor_power_route(monkeypatch, expression, torsion, power, route):

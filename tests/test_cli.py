@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atiyah import TorsionContext, evaluate_expression, s_set_reachable
-from atiyah.cli import main
+from atiyah import TorsionContext, classify, evaluate_expression, p1_classify, s_set_reachable
+from atiyah.cli import main, report_to_json, report_to_text
 from atiyah.schema import (
     DECOMPOSITION_SCHEMA,
     EXPRESS_SCHEMA,
@@ -225,6 +225,39 @@ def test_grid_mismatch_exits_two(capsys, monkeypatch):
     jsonschema.validate(payload, GRID_SCHEMA)
     assert payload["all_hold"] is False
     assert not any(cell["holds"] for cell in payload["cells"])
+
+
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (("classify", "--rank", "2", "--torsion", "4"), lambda: classify(2, 4)),
+        (("classify", "--rank", "1", "--torsion", "1"), lambda: classify(1, 1)),
+        (("p1", "2", "4", "--bound", "2"), lambda: p1_classify((2, 4))),
+        (("p1", "0"), lambda: p1_classify((0,))),
+    ],
+    ids=["classify-2-4", "classify-1-1", "p1-2-4", "p1-0"],
+)
+def test_classify_and_p1_mismatch_exit_two(capsys, monkeypatch, argv, report):
+    # As for grid: a report whose printed correspondence fails exits 2, and
+    # prints what it printed before, the FAILS line included.
+    classify_module = sys.modules["atiyah.classify"]
+    krull_dimension = classify_module.krull_dimension
+    monkeypatch.setattr(
+        classify_module, "krull_dimension", lambda presentation: krull_dimension(presentation) + 1
+    )
+    expected = report()
+    assert not expected.correspondence_holds
+    status, out, err = run(capsys, *argv)
+    assert (status, err) == (2, "")
+    k, g = expected.krull_dim, expected.group.dimension
+    assert f"dimension correspondence: FAILS ({k} vs {g})" in out.splitlines()
+    assert out.startswith(report_to_text(expected) + "\n")
+    status, out, err = run(capsys, *argv, "--format", "json")
+    assert (status, err) == (2, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["correspondence"] is False
+    assert payload.items() >= report_to_json(expected).items()
 
 
 def test_p1_subcommand(capsys):
