@@ -54,7 +54,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Mapping, Sequence
 
 from .bundles import MAX_LOOP_WORDS, BundleSum, ContextMismatchError, IndecomposableBundle
@@ -135,16 +135,22 @@ def _read_block(values: Sequence[int], start: int, n: int) -> dict[int, int] | N
     ``start`` on, a character's t-row from its lowest q-exponent up, every
     other one; None if they are no character's row.  The block test: the
     slots are a palindrome (q-symmetric) with no zero (a character has none
-    inside its span), and each multiplicity of the lower half, a slot minus
-    the one before it (the slot before ``start`` is zero), is positive.
-    Slot i of the lower half reads off as F_(n + 2·start − 2·i).
+    inside its span), and no difference of the lower half, a slot minus the
+    one before it, is negative.  Below slot 0 reads as 0; the slot before
+    ``start`` > 0 is read as it is (a valid packing leaves it zero).  Slot
+    start + j reads off as F_(n − 2·j), its difference the multiplicity
+    where that is nonzero; a block with no such term is rejected.  The test
+    and the read-off are C-level calls over the block (slices, ``map`` and
+    ``compress``), with no interpreter step per slot.
     """
     block = values[start:start + n]
     if block != block[::-1] or 0 in block:
         return None
-    top = n + 2 * start
-    read = {top - 2 * i: c for i, c in _differences(values, start, start + (n + 1) // 2, 1)}
-    return read if min(read.values(), default=0) > 0 else None
+    half = (n + 1) // 2
+    below = values[start - 1:start - 1 + half] if start else (0, *block[:half - 1])
+    steps = list(map(sub, block[:half], below))
+    read = dict(compress(zip(range(n, 0, -2), steps), steps))
+    return read if read and min(steps) >= 0 else None
 
 
 class NotACharacterError(ValueError):
@@ -474,7 +480,12 @@ def _verify_pairs(
     A block agrees with the formula when it passes the block test of
     :func:`_read_block` and the multiplicities read off it are the formula's
     terms.  Neither the packing nor the read-off applies the Clebsch-Gordan
-    rule.
+    rule.  Once per run: the product, each probe's t = ea + eb, and the
+    classes L^eb ⊗ F_s of every s; once per r: the classes L^ea ⊗ F_r.
+    Once per pair: the block test, and the read-off labelled with each
+    distinct t (over L of order 3 all three probes share t = 0).  Once per
+    pair and probe: one ``tensor_indec`` call, looked up as a module global,
+    and one comparison with the read-off labelled with that probe's t.
     Raises ``ValueError`` before packing when the formula terms, min(r, s)
     per pair and R(R + 1)(R + 2)/6 per probe, exceed ``MAX_LOOP_WORDS``.
     """
@@ -484,24 +495,28 @@ def _verify_pairs(
             f"checking every pair up to F_{rmax} would write {terms} formula terms, "
             f"above the limit of {MAX_LOOP_WORDS}"
         )
-    reduce = context.reduce_exponent
+    bundle = context.bundle
     width = _slot_width(rmax.bit_length())
     s1 = 2 * rmax
     s2 = (rmax + 1) * s1
     count = rmax * (s1 + s2) + 2 * rmax - 1
     values = _unpack(_packed_brackets(rmax, s1, width) * _packed_brackets(rmax, s2, width),
                      count, width)
+    ts = [context.reduce_exponent(ea + eb) for ea, eb in probes]
+    labels = set(ts)
+    seconds = [[bundle(eb, s) for _, eb in probes] for s in range(1, rmax + 1)]
     failures = []
     for r in range(1, rmax + 1):
-        for s in range(1, r + 1):
+        firsts = [bundle(ea, r) for ea, _ in probes]
+        for s, ys in zip(range(1, r + 1), seconds):
             start, n = r * s1 + s * s2, r + s - 1
             read = _read_block(values, start, n)
-            for ea, eb in probes:
-                x, y = context.bundle(ea, r), context.bundle(eb, s)
-                formula = tensor_indec(context, x, y)
-                t = reduce(ea + eb)
+            if read is not None:
                 # A class equals its plain pair (index, exponent).
-                if read is None or formula.terms != dict(zip(zip(read, repeat(t)), read.values())):
+                expected = {t: dict(zip(zip(read, repeat(t)), read.values())) for t in labels}
+            for x, y, t in zip(firsts, ys, ts):
+                formula = tensor_indec(context, x, y)
+                if read is None or formula.terms != expected[t]:
                     row = _block_row(context, values[start:start + n], t)
                     try:
                         oracle = decompose_character(row)

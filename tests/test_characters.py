@@ -1,5 +1,8 @@
 """Character oracle: brackets, multiplicativity, peeling, and cross-checks."""
 
+import contextlib
+import io
+import itertools
 import random
 import re
 import tracemalloc
@@ -140,7 +143,7 @@ def laurent_polynomials(draw, ctx):
 
 @given(st.sampled_from([TorsionContext(n) for n in (0, 1, 2, 3, 5)]), st.data())
 @settings(max_examples=300, deadline=None)
-def test_packed_product_matches_double_loop(ctx, data):
+def test_product_at_q3_is_the_product_of_the_values(ctx, data):
     # The product at q = 3, t kept modulo t^n - 1, is the product of the two
     # factors there: evaluation is a ring homomorphism.
     a = data.draw(laurent_polynomials(ctx))
@@ -229,6 +232,114 @@ def test_packed_verify_reads_off_what_oracle_check_peels(torsion, monkeypatch):
         assert len(compared) == len(_VERIFY_PROBES) * rmax * (rmax + 1) // 2
 
 
+def read_block_by_differences(values, start, n):
+    """The block test and read-off of ``_read_block`` written slot by slot
+    with ``_differences``: the reference for the C-level read."""
+    block = values[start:start + n]
+    if block != block[::-1] or 0 in block:
+        return None
+    top = n + 2 * start
+    half = characters_module._differences(values, start, start + (n + 1) // 2, 1)
+    read = {top - 2 * i: c for i, c in half}
+    return read if min(read.values(), default=0) > 0 else None
+
+
+@st.composite
+def slot_rows(draw):
+    """(slot values as ``_unpack`` returns them at a width of 1, 2 or 3
+    bytes, start, n): a block of n slots after ``start`` slots and before a
+    few more.  The block is a character's row (rising to the middle), any
+    palindrome (zero slots and descents among them) or any row."""
+    width = draw(st.sampled_from((1, 2, 3)))
+    slot = st.one_of(st.integers(0, 3), st.integers(0, (1 << 8 * width) - 1))
+    kind = draw(st.sampled_from(("character", "palindrome", "any")))
+    if kind == "any":
+        block = draw(st.lists(slot, max_size=12))
+    else:
+        if kind == "character":
+            steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+            half = list(itertools.accumulate(steps))
+        else:
+            half = draw(st.lists(slot, max_size=6))
+        block = half + half[-2::-1] if draw(st.booleans()) else half + half[::-1]
+    before = draw(st.lists(slot, max_size=3))
+    values = before + block + draw(st.lists(slot, max_size=3))
+    packed = characters_module._pack(values, width)
+    return characters_module._unpack(packed, len(values), width), len(before), len(block)
+
+
+@given(slot_rows())
+@settings(max_examples=400, deadline=None)
+@example(([1, 2, 1], 0, 3))
+@example(([0, 1, 2, 1, 0], 1, 3))
+@example(([1, 1, 2, 1], 1, 3))  # the slot before start cancels the first step
+@example(([2, 1, 2, 1], 1, 3))  # ... or makes it negative
+@example(([1, 1, 1], 1, 2))  # an empty read-off: None
+@example(([3, 2, 3], 0, 3))  # a descent
+@example(([1, 0, 1], 0, 3))  # a zero slot
+@example(([1, 2, 3], 0, 3))  # no palindrome
+@example(([], 0, 0))
+def test_read_block_reads_like_the_slot_by_slot_differences(row):
+    values, start, n = row
+    read = characters_module._read_block(values, start, n)
+    expected = read_block_by_differences(values, start, n)
+    assert read == expected
+    if read is not None:
+        assert list(read.items()) == list(expected.items())
+
+
+def _verify_with_fault(monkeypatch, torsion, fault):
+    """``verify --rmax 6`` over L of ``torsion`` with ``tensor_indec``
+    replaced by ``fault(ctx, a, b)`` wherever that returns a sum: (exit
+    status, failure lines)."""
+    tensor_indec = characters_module.tensor_indec
+
+    def planted(ctx, a, b):
+        wrong = fault(ctx, a, b)
+        return tensor_indec(ctx, a, b) if wrong is None else wrong
+
+    with monkeypatch.context() as patch:
+        patch.setattr(characters_module, "tensor_indec", planted)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(["verify", "--rmax", "6", "--torsion", str(torsion)])
+    return status, out.getvalue().splitlines()[1:]
+
+
+def test_verify_checks_each_probe_against_its_own_read_off(monkeypatch):
+    # Over order 3 all three probes label the read-off with t = 0, and over
+    # non-torsion L and order 4 probes (0, 0) and (1, -1) do.  A fault at one
+    # probe must fail every pair there, not pass against the read-off that
+    # an earlier probe was compared with.
+    def top_dropped_at_second_probe(ctx, a, b):
+        if (a.exponent, b.exponent) == (1, 2):  # L*F_r x L^-1*F_s over order 3
+            return BundleSum.of(ctx, [(a, 1)])
+        return None
+
+    status, lines = _verify_with_fault(monkeypatch, 3, top_dropped_at_second_probe)
+    ctx = TorsionContext(3)
+    assert status == 2
+    assert len(lines) == 21
+    assert [line.split(":")[0] for line in lines] == [
+        f"{ctx.bundle(1, r)} x {ctx.bundle(-1, s)}" for r in range(1, 7) for s in range(1, r + 1)]
+
+    # The right indices at the line exponent of the other probes' read-off.
+    def untwisted_at_third_probe(ctx, a, b):
+        if (a.exponent, b.exponent) == (ctx.reduce_exponent(2), ctx.reduce_exponent(1)):
+            return tensor_indec(ctx, ctx.bundle(0, a.index), ctx.bundle(0, b.index))
+        return None
+
+    for torsion in (0, 4):
+        ctx = TorsionContext(torsion)
+        status, lines = _verify_with_fault(monkeypatch, torsion, untwisted_at_third_probe)
+        assert status == 2
+        assert len(lines) == 21
+        for line, (r, s) in zip(lines, [(r, s) for r in range(1, 7) for s in range(1, r + 1)]):
+            a, b = ctx.bundle(2, r), ctx.bundle(1, s)
+            untwisted = tensor_indec(ctx, ctx.atiyah(r), ctx.atiyah(s))
+            assert line == f"{a} x {b}: formula {untwisted} vs oracle {tensor_indec(ctx, a, b)}"
+
+
 class _Packing(Exception):
     """Raised in place of packing, once verify has passed its size check."""
 
@@ -259,7 +370,7 @@ def test_verify_accepts_every_rmax_the_old_count_accepted(monkeypatch):
         assert refused == (rmax > 127), rmax
 
 
-def test_slot_by_slot_packing_matches_double_loop(monkeypatch):
+def test_slot_by_slot_packing_gives_the_same_power_and_oracle_check(monkeypatch):
     # With no one-call formats (as on a big-endian machine) every slot width
     # is packed and read slot by slot: the powers' rows, and the two-byte
     # slots of oracle_check once min(r, s) >= 256.
@@ -438,7 +549,7 @@ def test_decompose_accepts_exactly_characters(ctx, data):
 
 
 @pytest.mark.parametrize("torsion", range(7))
-def test_verify_products_read_off_like_double_loop(torsion):
+def test_verify_pair_products_decompose_as_the_formula(torsion):
     # Every character product that `verify --rmax 12` peels, at every probe,
     # read off the double loop, is the formula's decomposition.
     ctx = TorsionContext(torsion)
