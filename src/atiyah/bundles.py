@@ -22,12 +22,13 @@ Z-linear combinations of classes; :class:`BundleSum` is its non-negative view,
 the actual direct sums.  Both multiply through one kernel, :func:`_cg_product`.
 F_r ⊗ F_s is one step-2 run of indices with one coefficient, so the kernel
 records each pair of terms by the two ends of its run and sweeps the runs
-once, building each output term once.  Tensor powers of bundle sums take the
-cheaper of that kernel and a recurrence on characters, by a plan in
-estimated nanoseconds (:meth:`BundleSum.tensor_power`) that sizes the
-repeated products in one loop over the powers (:func:`_loop_fits`), while
-``KRingElement ** m`` stays repeated Clebsch-Gordan products, so the two can
-be compared.
+once, building each output term once, a product of two one-term sums too;
+:func:`tensor_indec`, the product of two classes, writes its one run
+directly.  Tensor powers of bundle sums take the cheaper of that kernel and
+a recurrence on characters, by a plan in estimated nanoseconds
+(:meth:`BundleSum.tensor_power`) that sizes the repeated products in one
+loop over the powers (:func:`_loop_fits`), while ``KRingElement ** m``
+stays repeated Clebsch-Gordan products, so the two can be compared.
 """
 
 from __future__ import annotations
@@ -192,11 +193,6 @@ def _cg_product(
     output key is built once, and runs that cancel to zero are skipped.  No
     row is dense, so far-apart indices cost nothing for the gap.
     """
-    if len(x) == 1 == len(y):  # one run: nothing to merge
-        ((r, ea), ca), = x.items()
-        ((s, eb), cb), = y.items()
-        c = ca * cb
-        return _run(context.reduce_exponent(ea + eb), r, s, c) if c else {}
     n = context.order
     rows: dict[int, dict[int, int]] = {}  # 2·exponent + index parity -> break points
     for (r, ea), ca in x.items():
@@ -230,12 +226,6 @@ def _cg_product(
 _key = tuple.__new__
 
 
-def _run(e: int, r: int, s: int, c: int) -> dict[IndecomposableBundle, int]:
-    """{L^e ⊗ F_j: c} over ``component_indices(r, s)``: the terms of
-    c·(L^e_a ⊗ F_r) ⊗ (L^e_b ⊗ F_s) for a canonical e = e_a + e_b, one run."""
-    return {_key(IndecomposableBundle, (j, e)): c for j in component_indices(r, s)}
-
-
 def _drop_zeros(acc: dict[IndecomposableBundle, int]) -> dict[IndecomposableBundle, int]:
     """Delete zero coefficients in place, which rehashes only the deleted keys."""
     for b in [b for b, c in acc.items() if not c]:
@@ -249,11 +239,14 @@ def tensor_indec(
     """Decompose (L^e_a ⊗ F_r) ⊗ (L^e_b ⊗ F_s) into indecomposables.
 
     The result is ⊕ L^{e_a+e_b} ⊗ F_j over min(r, s) component indices j,
-    each with multiplicity one, of total rank r·s: the one run that
-    :func:`_run` writes, as in :func:`_cg_product` for two one-term sums.
+    each with multiplicity one, of total rank r·s: one step-2 run of
+    indices, written here directly rather than swept by :func:`_cg_product`.
     """
     (r, ea), (s, eb) = a, b
-    return BundleSum(context, _run(context.reduce_exponent(ea + eb), r, s, 1))
+    e = context.reduce_exponent(ea + eb)
+    return BundleSum(
+        context, {_key(IndecomposableBundle, (j, e)): 1 for j in component_indices(r, s)}
+    )
 
 
 def dual(context: TorsionContext, a: IndecomposableBundle) -> IndecomposableBundle:
@@ -344,11 +337,6 @@ class KRingElement:
     def unit(cls, context: TorsionContext) -> KRingElement:
         """The class of O, the tensor unit."""
         return cls(context, {context.bundle(): 1})
-
-    @staticmethod
-    def from_sum(x: KRingElement) -> KRingElement:
-        """x as a plain ring element, free to take signed coefficients."""
-        return KRingElement(x.context, dict(x.terms))
 
     # -- queries ---------------------------------------------------------
 
@@ -601,10 +589,8 @@ class BundleSum(KRingElement):
         """|power|-fold tensor power, dualizing first for negative powers.
 
         The zeroth power is O by the empty-product convention, and the first
-        is the sum itself.  One line class L^e, of multiplicity 1, is powered
-        in closed form ahead of the plan: its m-th power is L^(e·m), e taken
-        after dualizing.  Every other power follows one plan, made from the
-        terms alone before any arithmetic, in one unit, estimated
+        is the sum itself.  Every other power follows one plan, made from
+        the terms alone before any arithmetic, in one unit, estimated
         nanoseconds: repeated products (``KRingElement.__pow__``) when
         :func:`_loop_fits` finds that they write at most
         :data:`MAX_LOOP_WORDS` words and are no slower than the Miller
@@ -616,7 +602,9 @@ class BundleSum(KRingElement):
         raises :class:`atiyah.characters.PowerTooLargeError` above that
         limit.  It costs every monomial of the base at every q-step, so
         squares, high indices and line exponents far apart take repeated
-        products.
+        products.  A line class L^e has one q-row of one slot, so the
+        recurrence takes its m-th power, L^(e·m), in one word operation at
+        any m.
         """
         if not self.terms:
             raise ValueError("cannot take tensor powers of the zero sum")
@@ -626,10 +614,6 @@ class BundleSum(KRingElement):
         power = abs(power)
         if power == 1:
             return base
-        if len(base.terms) == 1:
-            ((index, exponent), mult), = base.terms.items()
-            if index == 1 and mult == 1:  # (L^e)^m = L^(e·m)
-                return BundleSum(self.context, {self.context.line(exponent * power): 1})
         from . import characters
 
         plan = words, _, spread, rows, slots = characters._recurrence_plan(base, power)

@@ -33,11 +33,13 @@ keeps the oracle independent of the formula it checks.  A block that fails
 the test is handed to :func:`decompose_character`, which names the failure.
 
 :func:`decompose_character`, the public inverse of :func:`character`, checks
-q-symmetry, gaps and descents in the one pass over the monomials that reads
-the multiplicities off.  ``BivariateCharacter.__mul__`` is the plain double
-loop over monomial pairs for public callers; :func:`oracle_check` is the
-O(r + s) route for a product of two classes.  Characters are only
-multiplied, so ``BivariateCharacter`` has no sum, scaling or printed form.
+q-symmetry over every monomial, then gaps and descents in the pass that
+reads the multiplicities off.  ``BivariateCharacter.__mul__`` is the plain
+double loop over monomial pairs, which no library route calls; it stays as
+the public product that the tests hold the packed routes against.
+:func:`oracle_check` is the O(r + s) route for a product of two classes.
+Characters are only multiplied, so ``BivariateCharacter`` has no sum,
+scaling or printed form.
 
 :func:`character_power` takes tensor powers by the J.C.P. Miller recurrence
 in q over t-rows packed the same way, one small-by-big product per monomial of
@@ -207,6 +209,12 @@ class BivariateCharacter:
         and F_2000 · F_1000 over L of order 4 about 265 ms (best of 5, one
         core of a shared Xeon, Python 3.11), where ``oracle_check`` of that
         pair, both of its routes included, takes about 0.8 ms.
+
+        The product stays public for two reasons.  It shares no code with
+        the packed routes, so it is the independent product that
+        ``test_oracle_check_reads_off_what_the_double_loop_peels`` holds
+        :func:`oracle_check` against; and perfbench's tracer wraps it by
+        this name for its ``characters.product_*`` metrics.
         """
         if not isinstance(other, BivariateCharacter):
             return NotImplemented
@@ -241,18 +249,6 @@ def character(x: BundleSum) -> BivariateCharacter:
     return BivariateCharacter(x.context, acc)
 
 
-_ASYMMETRIC = "not a character: not invariant under q -> 1/q"
-
-
-def _rejection(c: BivariateCharacter, reason: str) -> NotACharacterError:
-    """The error for a gap or a descent of the read-off at ``reason``; an
-    input that is also not q-symmetric is rejected for that, as the
-    asymmetry may lie in monomials the pass has not yet reached."""
-    if not c.is_q_symmetric():
-        return NotACharacterError(_ASYMMETRIC)
-    return NotACharacterError(f"not a character: {reason}")
-
-
 def decompose_character(c: BivariateCharacter) -> BundleSum:
     """Invert :func:`character` by the linear read-off from the q >= 0
     coefficients, mult(L^e ⊗ F_{w+1}) = c(e, w) − c(e, w+2).
@@ -260,37 +256,29 @@ def decompose_character(c: BivariateCharacter) -> BundleSum:
     Raises :class:`NotACharacterError` when the input is not a non-negative
     combination of bracket characters: it is not invariant under q -> q^{-1},
     or some difference c(e, w) − c(e, w+2) is negative, which includes a gap:
-    c(e, w−2) = 0 below a nonzero c(e, w) with w >= 2.  One pass over the
-    monomials makes all three checks: each q > 0 must meet its mirror, and
-    the monomials with q >= 0, those with q > 0 counted twice, must be all
-    of them.
+    c(e, w−2) = 0 below a nonzero c(e, w) with w >= 2.  Two passes:
+    :meth:`BivariateCharacter.is_q_symmetric` over every monomial first, so
+    that an asymmetric input is named as such, then one pass over the
+    monomials with q >= 0 that checks each gap and descent and reads the
+    multiplicities off.  The library calls it only to name a failing pair
+    of ``verify`` or :func:`oracle_check`.
     """
+    if not c.is_q_symmetric():
+        raise NotACharacterError("not a character: not invariant under q -> 1/q")
     coeffs = c.coeffs
     terms: dict[IndecomposableBundle, int] = {}
-    mirrored = 0
     for (t, q), k in coeffs.items():
-        if q < 0:
-            continue
-        if q:
-            if coeffs.get((t, -q)) != k:
-                raise NotACharacterError(_ASYMMETRIC)
-            mirrored += 2
-        else:
-            mirrored += 1
-        if not k:
+        if q < 0 or not k:
             continue
         if q >= 2 and not coeffs.get((t, q - 2)):
-            raise _rejection(c, f"gap below t^{t} q^{q}")
+            raise NotACharacterError(f"not a character: gap below t^{t} q^{q}")
         above = coeffs.get((t, q + 2), 0)
-        m = k - above
-        if m < 0:
-            raise _rejection(
-                c, f"coefficient {k} at t^{t} q^{q} is below {above} at q^{q + 2}"
+        if k < above:
+            raise NotACharacterError(
+                f"not a character: coefficient {k} at t^{t} q^{q} is below {above} at q^{q + 2}"
             )
-        if m:
-            terms[_key(IndecomposableBundle, (q + 1, t))] = m
-    if mirrored != len(coeffs):
-        raise NotACharacterError(_ASYMMETRIC)
+        if k > above:
+            terms[_key(IndecomposableBundle, (q + 1, t))] = k - above
     return BundleSum(c.context, terms)
 
 

@@ -34,6 +34,11 @@ def sum_of(ctx, *pairs):
     return BundleSum.of(ctx, [(ctx.bundle(e, r), m) for (m, e, r) in pairs])
 
 
+def lift(x):
+    """x as a plain ring element, free to take signed coefficients."""
+    return KRingElement(x.context, dict(x.terms))
+
+
 # -- strategies -------------------------------------------------------------
 
 contexts = st.sampled_from([TorsionContext(n) for n in (0, 1, 2, 3, 4, 5, 6)])
@@ -346,6 +351,27 @@ def test_run_kernel_cancels_and_takes_empty_operands():
         assert _cg_product(ctx, a, b) == {}
 
 
+# One term L^e F_r with multiplicity c, as (e, r, c): indices small or up to 10^6.
+one_terms = st.tuples(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(min_value=1, max_value=50) | st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=3) | st.integers(min_value=-3, max_value=-1),
+)
+
+
+@given(st.sampled_from([TorsionContext(n) for n in range(7)]), one_terms, one_terms)
+@settings(max_examples=50, deadline=None)
+def test_run_kernel_one_term_by_one_term(ctx, first, second):
+    # Two one-term sums meet in one pair, which the sweep writes as one run.
+    (ea, r, ca), (eb, s, cb) = first, second
+    a, b = ctx.bundle(ea, r), ctx.bundle(eb, s)
+    e = ctx.reduce_exponent(ea + eb)
+    product = _cg_product(ctx, {a: ca}, {b: cb})
+    assert product == {ctx.bundle(e, j): ca * cb for j in component_indices(r, s)}
+    assert product == {key: ca * cb * c for key, c in tensor_indec(ctx, a, b).terms.items()}
+    assert all(type(key) is IndecomposableBundle for key in product)
+
+
 def test_run_kernel_never_fills_the_gap_between_indices():
     # 1000 line bundles and F_100000 times F_100000: a dense row per exponent
     # would take 10^8 slots; the runs write 101000 terms.
@@ -414,8 +440,8 @@ def test_negative_power_uses_dual():
     assert e ** -3 == e.dual() ** 3
     # In the ring the dual is not the inverse, so negative ring powers are refused.
     with pytest.raises(ValueError):
-        KRingElement.from_sum(e) ** -1
-    assert KRingElement.from_sum(e) ** 3 == e ** 3
+        lift(e) ** -1
+    assert lift(e) ** 3 == e ** 3
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
@@ -432,7 +458,7 @@ def test_power_parity_and_top_component(r, m):
 # powers always through repeated Clebsch-Gordan products: the routes must agree.
 
 def ring_power(x, m):
-    return KRingElement.from_sum(x.dual() if m < 0 else x) ** abs(m)
+    return lift(x.dual() if m < 0 else x) ** abs(m)
 
 
 def packed_power(x, m):
@@ -455,8 +481,8 @@ def test_tensor_power_matches_ring_power(ctx, data, m):
 
 
 def test_line_powers_match_ring_power():
-    # L^e to the m-th is L^(e·m), taken ahead of the plan; the ring power is
-    # m - 1 Clebsch-Gordan products of the (dualized) base.
+    # L^e to the m-th is L^(e·m); the ring power is m - 1 Clebsch-Gordan
+    # products of the (dualized) base.
     for n in range(7):
         ctx = TorsionContext(n)
         for e in range(-6, 7):
@@ -465,23 +491,17 @@ def test_line_powers_match_ring_power():
                 assert line.tensor_power(m) == ring_power(line, m), (n, e, m)
 
 
-def test_line_powers_skip_the_plan(monkeypatch):
-    class PlanCalled(Exception):
-        pass
-
-    def refuse(x, power):
-        raise PlanCalled
-
-    monkeypatch.setattr(characters, "_recurrence_plan", refuse)
-    ctx = TorsionContext(4)
-    for e in (-3, 0, 1, 5):
-        line = BundleSum.single(ctx, ctx.line(e))
-        assert line.tensor_power(7) == BundleSum.single(ctx, ctx.line(7 * e))
-        assert line.tensor_power(-7) == BundleSum.single(ctx, ctx.line(-7 * e))
-    # A multiplicity above 1, or more than one term, still takes the plan.
-    for src in ("(2 L)^3", "(L + O)^3"):
-        with pytest.raises(PlanCalled):
-            evaluate_expression(src, ctx)
+def test_line_powers_take_one_word_operation():
+    # A line class has one q-row of one slot, so the recurrence takes its
+    # power in one word operation, and never refuses it, at any power.
+    for n in (0, 1, 4):
+        ctx = TorsionContext(n)
+        for e in (-3, 0, 1, 5):
+            line = BundleSum.single(ctx, ctx.line(e))
+            for m in (2, 7, 10**8, 10**400):
+                assert characters._recurrence_plan(line, m)[0] == 1, (n, e, m)
+                assert line.tensor_power(m) == BundleSum.single(ctx, ctx.line(e * m))
+                assert line.tensor_power(-m) == BundleSum.single(ctx, ctx.line(-e * m))
 
 
 def test_mixed_parity_power_matches_ring_power():
@@ -640,6 +660,10 @@ def test_oversized_power_rejected_up_front():
         ("F_100", 0, 7, "packed"),
         ("F_1000", 0, 3, "products"),
         ("F_1000", 0, 4, "refused"),
+        # A line class: a square by one product, higher powers by the recurrence.
+        ("L^3", 0, 2, "products"),
+        ("L^3", 4, 7, "packed"),
+        ("L^-2", 0, 10**400, "packed"),
     ],
 )
 def test_tensor_power_route(monkeypatch, expression, torsion, power, route):
@@ -737,7 +761,7 @@ def test_scaling():
         f2.scale(-1)
     with pytest.raises(ValueError):
         -1 * f2
-    assert -1 * KRingElement.from_sum(f2) == -f2
+    assert -1 * lift(f2) == -f2
 
 
 # -- ring axioms for K-ring elements --------------------------------------------------
@@ -773,7 +797,6 @@ def test_kring_extends_bundle_arithmetic(ctx, data):
     y = data.draw(bundle_sums(ctx))
     k = data.draw(ring_elements(ctx))
     n = data.draw(st.integers(min_value=0, max_value=3))
-    lift = KRingElement.from_sum
     assert lift(x) == x
     assert lift(x) + lift(y) == lift(x + y)
     assert lift(x) * lift(y) == lift(x.tensor(y))
