@@ -25,7 +25,7 @@ records each pair of terms by the two ends of its run and sweeps the runs
 once, building each output term once, a product of two one-term sums too;
 :func:`tensor_indec`, the product of two classes, writes its one run
 directly.  Tensor powers of bundle sums take the cheaper of that kernel and
-a recurrence on characters, by a plan in estimated nanoseconds
+a recurrence on characters, by a plan in counted interpreter steps
 (:meth:`BundleSum.tensor_power`) that sizes the repeated products in one
 loop over the powers (:func:`_loop_fits`), while ``KRingElement ** m``
 stays repeated Clebsch-Gordan products, so the two can be compared.
@@ -478,39 +478,29 @@ class KRingElement:
         return sum_text(self.named_terms())
 
 
-# Measured time of the two routes of a tensor power, in nanoseconds on one
-# core of a shared 2-vCPU Xeon (Python 3.11), fitted by least relative error
-# over the estimates the plan makes, on random bases of one to four terms and
-# powers 2 to 120.  Repeated products cost _PRODUCT_NS per product, plus
-# _PAIR_NS per pair of terms and word of its multiplicity, plus _TERM_NS per
-# term written.  The recurrence costs _RECURRENCE_NS, plus
-# _RECURRENCE_WORD_NS per word operation of ``characters._recurrence_plan``,
-# plus _RECURRENCE_SLOT_NS per slot of its read-off (q-rows times t-slots).
-_PRODUCT_NS = 9000
-_PAIR_NS = 500
-_TERM_NS = 300
-_RECURRENCE_NS = 14000
-_RECURRENCE_WORD_NS = 13
-_RECURRENCE_SLOT_NS = 1000
-
-
-def _recurrence_ns(order: int, words: int, rows: int, slots: int) -> int:
-    """Estimated nanoseconds of the recurrence over L of this order for the
-    ``words``, q-``rows`` and t-``slots`` per row of
-    ``characters._recurrence_plan``; the rows fold to ``order`` slots."""
-    if order:
-        slots = min(slots, order)
-    return _RECURRENCE_NS + _RECURRENCE_WORD_NS * words + _RECURRENCE_SLOT_NS * rows * slots
+# The plan of a tensor power compares its two routes in one unit, counted
+# interpreter steps, one pass of an interpreted loop each (a median of 70 ns
+# in repeated products and 100 ns in the recurrence over random bases, on one
+# core of a shared 2-vCPU Xeon, Python 3.11).  Repeated products take
+# _TERM_STEPS per pair of terms and word of multiplicity met and per term
+# written (:func:`_loop_fits`), plus _PRODUCT_STEPS per product; the
+# recurrence takes one step per monomial, one per division and one per
+# t-slot read off at each q-row (``characters._recurrence_plan``), plus
+# _RECURRENCE_STEPS.
+_PRODUCT_STEPS = 80
+_TERM_STEPS = 2
+_RECURRENCE_STEPS = 100
 
 
 def _loop_fits(
-    base: BundleSum, power: int, ns_cap: float, words_cap: int,
+    base: BundleSum, power: int, steps_cap: float, words_cap: int,
     spread: tuple[int, int, int, int, int],
 ) -> bool:
-    """Whether power - 1 products by ``base`` are estimated at most ``ns_cap``
-    nanoseconds and write at most ``words_cap`` multiplicity words; ``spread``
-    is ``_spread(base)``.  One loop over j = 2, ..., power sums both
-    estimates and stops once either passes its cap.
+    """Whether power - 1 products by ``base`` are estimated at most
+    ``steps_cap`` interpreter steps and write at most ``words_cap``
+    multiplicity words; ``spread`` is ``_spread(base)``.  One loop over
+    j = 2, ..., power sums both estimates and stops once either passes its
+    cap.
 
     The estimates rest on upper bounds N_j of the number of terms of the
     j-th power and bits_j of the bits of its multiplicities.  N_1 is the
@@ -519,29 +509,30 @@ def _loop_fits(
     ones, counted up to the cap, within a range of j·span + 1, or n residues
     over L of order n) and the indices are at most j·(top - 1) + 1, all of
     one parity when those of ``base`` are; bits_j = j·log2(rank).  The
-    product of the (j-1)-th power by ``base`` meets N_(j-1) terms with
-    those of ``base``: it takes :func:`_product_words` of N_(j-1) terms
+    product of the (j-1)-th power by ``base`` meets N_(j-1) terms with the
+    k terms of ``base``: it takes :func:`_product_words` of N_(j-1) terms
     against the index sum of ``base`` (the size that :data:`MAX_LOOP_WORDS`
-    bounds), and writes at most N_j terms of bits_j bits (the time).
+    bounds), and _TERM_STEPS per pair and word of bits_j bits and per term
+    of the at most N_j it writes (the steps).
     """
-    ns = (power - 1) * _PRODUCT_NS
-    if power - 1 > words_cap or ns > ns_cap:
-        return False  # each product writes at least one word and takes _PRODUCT_NS
+    steps = (power - 1) * _PRODUCT_STEPS
+    if power - 1 > words_cap or steps > steps_cap:
+        return False  # each product writes at least one word and takes _PRODUCT_STEPS
     _, span, d, top, step = spread
     n, k = base.context.order, len(base.terms)
     log_rank = math.log2(base.rank())
     index_sum = sum(b.index for b in base.terms)
     # A term count capped at the larger cap makes the sum it enters pass its
     # own cap, so one count decides for both.
-    cap = words_cap if ns_cap == math.inf else max(words_cap, int(ns_cap) // _TERM_NS)
+    cap = words_cap if steps_cap == math.inf else max(words_cap, int(steps_cap) // _TERM_STEPS)
     terms, sums, words = k, d, 0  # N_1; comb(d + j - 1, j), capped once it passes cap
     for j in range(2, power + 1):
         sums = min(sums * (d + j - 1) // j, cap + 1)
         next_terms = min(sums, j * span + 1, n or sums) * (j * top // step + 1)
         bits = int(j * log_rank)
         words += _product_words(terms, index_sum, bits)
-        ns += terms * k * (bits // 64 + 1) * _PAIR_NS + next_terms * _TERM_NS
-        if words > words_cap or ns > ns_cap:
+        steps += (terms * k * (bits // 64 + 1) + next_terms) * _TERM_STEPS
+        if words > words_cap or steps > steps_cap:
             return False
         terms = next_terms
     return True
@@ -590,17 +581,17 @@ class BundleSum(KRingElement):
 
         The zeroth power is O by the empty-product convention, and the first
         is the sum itself.  Every other power follows one plan, made from
-        the terms alone before any arithmetic, in one unit, estimated
-        nanoseconds: repeated products (``KRingElement.__pow__``) when
+        the terms alone before any arithmetic, in one unit, counted
+        interpreter steps: repeated products (``KRingElement.__pow__``) when
         :func:`_loop_fits` finds that they write at most
-        :data:`MAX_LOOP_WORDS` words and are no slower than the Miller
-        recurrence on the character (:func:`_recurrence_ns` of the word
-        operations, q-rows and t-slots that ``characters._recurrence_plan``
-        counts), or that recurrence takes more than
-        :data:`MAX_LOOP_WORDS` word operations; else the recurrence of
+        :data:`MAX_LOOP_WORDS` words in no more steps than the Miller
+        recurrence on the character takes (the steps that
+        ``characters._recurrence_plan`` counts, infinite when that
+        recurrence takes more than :data:`MAX_LOOP_WORDS` word
+        operations); else the recurrence of
         :func:`atiyah.characters.character_power` on the same plan, which
         raises :class:`atiyah.characters.PowerTooLargeError` above that
-        limit.  It costs every monomial of the base at every q-step, so
+        limit.  It takes a step per monomial of the base at every q-step, so
         squares, high indices and line exponents far apart take repeated
         products.  A line class L^e has one q-row of one slot, so the
         recurrence takes its m-th power, L^(e·m), in one word operation at
@@ -616,12 +607,8 @@ class BundleSum(KRingElement):
             return base
         from . import characters
 
-        plan = words, _, spread, rows, slots = characters._recurrence_plan(base, power)
-        if words > MAX_LOOP_WORDS:
-            recurrence_ns = math.inf  # the recurrence refuses
-        else:
-            recurrence_ns = _recurrence_ns(self.context.order, words, rows, slots)
-        if _loop_fits(base, power, recurrence_ns, MAX_LOOP_WORDS, spread):
+        plan = _, _, spread, _, _, steps = characters._recurrence_plan(base, power)
+        if _loop_fits(base, power, steps, MAX_LOOP_WORDS, spread):
             return KRingElement.__pow__(base, power)
         return BundleSum(self.context, characters._recurrence_power(base, power, plan))
 

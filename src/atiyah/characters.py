@@ -45,8 +45,9 @@ scaling or printed form.
 in q over t-rows packed the same way, one small-by-big product per monomial of
 the base's :func:`character` and one exact division per row; it is the only
 caller of :func:`character` in the library.  ``KRingElement.__pow__`` keeps
-the Clebsch-Gordan route, and ``BundleSum.tensor_power`` chooses by cost on
-the sizes of :func:`_recurrence_plan`.
+the Clebsch-Gordan route, and ``BundleSum.tensor_power`` chooses by the
+interpreter steps that :func:`_recurrence_plan` counts for the recurrence
+and ``bundles._loop_fits`` for repeated products.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from operator import itemgetter, sub
 from typing import Mapping, Sequence
 
 from .bundles import MAX_LOOP_WORDS, BundleSum, ContextMismatchError, IndecomposableBundle
-from .bundles import TorsionContext, _key, _spread, tensor_indec
+from .bundles import _RECURRENCE_STEPS, TorsionContext, _key, _spread, tensor_indec
 
 
 # struct/memoryview format of each slot width that one C call packs or reads
@@ -284,27 +285,32 @@ def decompose_character(c: BivariateCharacter) -> BundleSum:
 
 def _recurrence_plan(
     x: BundleSum, power: int
-) -> tuple[int, int, tuple[int, ...], int, int]:
+) -> tuple[int, int, tuple[int, ...], int, int, float]:
     """(Upper estimate of the word operations, slot width in bytes,
-    ``_spread(x)``, q-rows, t-slots per row) of the recurrence for x^power:
-    each of the power·(2·top // step) // 2 + 1 q-steps up to the middle row
-    multiplies every monomial of the base outside the lowest q-row by an
-    earlier row of power·span + 1 slots of at least a word, and divides by
-    that row.  That bounds the rest of the work.  ``BundleSum.tensor_power``
+    ``_spread(x)``, q-rows, t-slots per row, interpreter steps) of the
+    recurrence for x^power: each of the power·(2·top // step) // 2 + 1
+    q-steps up to the middle row multiplies every monomial of the base
+    outside the lowest q-row by an earlier row of power·span + 1 slots of at
+    least a word, and divides by that row.  That bounds the rest of the
+    work.  Each q-row takes a step per such monomial, one for the division
+    and one per t-slot read off (at most n over L of order n); the steps are
+    infinite where the recurrence refuses.  ``BundleSum.tensor_power``
     plans with it and hands it to :func:`_recurrence_power`, so nothing is
     computed twice."""
     spread = t_lo, span, _, top, step = _spread(x)
     rows, slots = power * (2 * top // step) // 2 + 1, power * span + 1
     rank = x.rank()
-    if rank > 1 and power >> 6 > MAX_LOOP_WORDS:
-        return power >> 6, 0, spread, rows, slots  # every slot holds rank^power >= 2^power
+    if rank > 1 and power >> 6 > MAX_LOOP_WORDS:  # each slot holds rank^power >= 2^power
+        return power >> 6, 0, spread, rows, slots, math.inf
     # rank^power has floor(power·log2 rank) + 1 bits; one more absorbs rounding.
     width = _slot_width(int(power * math.log2(rank)) + 2) if rank > 1 else 1
     per_slot = (width + 7) // 8
     lowest = [x.context.reduce_exponent(b.exponent - t_lo) for b in x.terms if b.index == top + 1]
     divisor = (max(lowest) - min(lowest)) * per_slot + 1
     monomials = sum(b.index for b in x.terms) - len(lowest)
-    return rows * (monomials + divisor) * slots * per_slot, width, spread, rows, slots
+    words = rows * (monomials + divisor) * slots * per_slot
+    steps = _RECURRENCE_STEPS + rows * (monomials + 1 + min(slots, x.context.order or slots))
+    return words, width, spread, rows, slots, steps if words <= MAX_LOOP_WORDS else math.inf
 
 
 def _miller(terms: list, a0: int, c0: int, power: int, count: int) -> list[int]:
@@ -351,6 +357,8 @@ def character_power(x: BundleSum, power: int) -> dict[IndecomposableBundle, int]
     q-symmetry.  Over L of order n the rows are folded modulo t^n − 1 only
     then (reduction is a ring homomorphism); each multiplicity of
     :func:`decompose_character` is then a difference of two slots.
+    ``BundleSum.tensor_power`` takes this route where the interpreter steps
+    that :func:`_recurrence_plan` counts are fewer than repeated products'.
 
     Raises :class:`PowerTooLargeError`, before the character is built, when
     :func:`_recurrence_plan` estimates more than ``MAX_LOOP_WORDS`` word
@@ -360,11 +368,11 @@ def character_power(x: BundleSum, power: int) -> dict[IndecomposableBundle, int]
 
 
 def _recurrence_power(
-    x: BundleSum, power: int, plan: tuple[int, int, tuple[int, ...], int, int]
+    x: BundleSum, power: int, plan: tuple[int, int, tuple[int, ...], int, int, float]
 ) -> dict[IndecomposableBundle, int]:
     """:func:`character_power` for the ``plan`` that :func:`_recurrence_plan`
     made for x and power: its slot width, spread, q-rows and t-slots."""
-    words, width, (t_lo, _, _, top, step), count, slots = plan
+    words, width, (t_lo, _, _, top, step), count, slots, _ = plan
     if words > MAX_LOOP_WORDS:
         raise PowerTooLargeError(
             f"tensor power {power} is too large: the recurrence would run "
@@ -442,16 +450,20 @@ def oracle_check(
     return OracleCheck(formula == peeled, formula, peeled)
 
 
+# The line exponents (ea, eb) by which ``verify`` twists every pair.
+_VERIFY_PROBES = ((0, 0), (1, -1), (2, 1))
+
+
 def _verify_pairs(
-    context: TorsionContext, rmax: int, probes: Sequence[tuple[int, int]]
+    context: TorsionContext, rmax: int
 ) -> list[tuple[IndecomposableBundle, IndecomposableBundle, BundleSum,
                 BundleSum | NotACharacterError]]:
     """Check ``tensor_indec`` against the character route for every pair
-    F_r, F_s with s <= r <= rmax, twisted by each probe (ea, eb) in turn, and
-    return (a, b, formula, oracle) for the first probe at which a pair
-    disagrees, a = L^ea ⊗ F_r and b = L^eb ⊗ F_s: the oracle side is
-    :func:`decompose_character` of the pair's product, or the
-    :class:`NotACharacterError` it raised.
+    F_r, F_s with s <= r <= rmax, twisted by each probe (ea, eb) of
+    :data:`_VERIFY_PROBES` in turn, and return (a, b, formula, oracle) for
+    the first probe at which a pair disagrees, a = L^ea ⊗ F_r and
+    b = L^eb ⊗ F_s: the oracle side is :func:`decompose_character` of the
+    pair's product, or the :class:`NotACharacterError` it raised.
 
     One big-integer product holds every pair's character product (Kronecker
     substitution in two more variables, Harvey 2009).  With y = q², the
@@ -477,7 +489,7 @@ def _verify_pairs(
     Raises ``ValueError`` before packing when the formula terms, min(r, s)
     per pair and R(R + 1)(R + 2)/6 per probe, exceed ``MAX_LOOP_WORDS``.
     """
-    terms = len(probes) * rmax * (rmax + 1) * (rmax + 2) // 6
+    terms = len(_VERIFY_PROBES) * rmax * (rmax + 1) * (rmax + 2) // 6
     if terms > MAX_LOOP_WORDS:
         raise ValueError(
             f"checking every pair up to F_{rmax} would write {terms} formula terms, "
@@ -490,12 +502,12 @@ def _verify_pairs(
     count = rmax * (s1 + s2) + 2 * rmax - 1
     values = _unpack(_packed_brackets(rmax, s1, width) * _packed_brackets(rmax, s2, width),
                      count, width)
-    ts = [context.reduce_exponent(ea + eb) for ea, eb in probes]
+    ts = [context.reduce_exponent(ea + eb) for ea, eb in _VERIFY_PROBES]
     labels = set(ts)
-    seconds = [[bundle(eb, s) for _, eb in probes] for s in range(1, rmax + 1)]
+    seconds = [[bundle(eb, s) for _, eb in _VERIFY_PROBES] for s in range(1, rmax + 1)]
     failures = []
     for r in range(1, rmax + 1):
-        firsts = [bundle(ea, r) for ea, _ in probes]
+        firsts = [bundle(ea, r) for ea, _ in _VERIFY_PROBES]
         for s, ys in zip(range(1, r + 1), seconds):
             start, n = r * s1 + s * s2, r + s - 1
             read = _read_block(values, start, n)

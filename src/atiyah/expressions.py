@@ -26,8 +26,8 @@ parts, so ``k X`` is the part (k, X), and a lone ``k X`` is a one-part sum.
 It is accumulated once: every part's terms, times its multiplicity, are
 added into one dict that becomes one :class:`BundleSum`.  Products go
 through ``BundleSum.tensor``, with its size check, and powers through
-``BundleSum.tensor_power``, which powers one line class ``L^e`` in closed
-form ahead of its plan.
+``BundleSum.tensor_power``, whose plan takes a line class ``L^e`` to any
+power in one word operation.
 """
 
 from __future__ import annotations

@@ -541,6 +541,27 @@ def test_recurrence_matches_ring_power(ctx, data, big):
         assert packed_power(x, m) == expected
 
 
+def test_recurrence_steps_are_the_hand_count():
+    # 100 fixed steps, plus per q-row one per monomial outside the lowest
+    # q-row, one for the division and one per t-slot.  F_2^3: 2 q-rows of
+    # one slot, one monomial (q^1) outside the lowest row.  F_100^7: 7·99 // 2
+    # + 1 = 347 q-rows of one slot, 99 monomials outside the lowest row.
+    f2, f100 = BundleSum.single(NT, NT.atiyah(2)), BundleSum.single(NT, NT.atiyah(100))
+    assert characters._recurrence_plan(f2, 3)[-1] == 100 + 2 * (1 + 1 + 1)
+    assert characters._recurrence_plan(f100, 7)[-1] == 100 + 347 * (99 + 1 + 1)
+    # L*F_3 + F_2 over L of order 4, power 10: mixed index parities take
+    # q-steps of 1, so 10·(2·2) // 2 + 1 = 21 q-rows of 10·1 + 1 = 11 t-slots,
+    # read off after the fold to 4; the base has 3 + 2 monomials, one of them
+    # (L·q^-2) in the lowest row.
+    ctx = TorsionContext(4)
+    x = sum_of(ctx, (1, 1, 3), (1, 0, 2))
+    assert characters._recurrence_plan(x, 10)[3:] == (21, 11, 100 + 21 * (4 + 1 + 4))
+    # Above the limit of word operations the recurrence refuses: no count.
+    for y, m in ((f100, 1000), (f2, 10**8), (BundleSum.single(NT, NT.atiyah(10**8)), 2)):
+        plan = characters._recurrence_plan(y, m)
+        assert plan[0] > MAX_LOOP_WORDS and plan[-1] == math.inf
+
+
 def test_recurrence_refusal_leaves_tensor_power_to_products():
     # (L^3 + L^-3) * 2^64 F_4, power 11: the recurrence estimates 1079772 word
     # operations, past MAX_LOOP_WORDS; repeated products write about 55000.
@@ -653,11 +674,16 @@ def test_oversized_power_rejected_up_front():
         ("O + L^100000000", 0, 2, "products"),
         ("F_250000", 0, 2, "products"),
         ("F_2", 0, 10**8, "refused"),
-        # One case on each side of a crossover.
+        # One case on each side of a crossover: F_2 and F_20 where the steps
+        # decide, F_100 where the products' words limit decides.
         ("F_2", 0, 2, "products"),
         ("F_2", 0, 3, "packed"),
+        ("F_20", 0, 7, "products"),
+        ("F_20", 0, 8, "packed"),
         ("F_100", 0, 6, "products"),
-        ("F_100", 0, 7, "packed"),
+        ("F_100", 0, 7, "products"),
+        ("F_100", 0, 16, "products"),
+        ("F_100", 0, 17, "packed"),
         ("F_1000", 0, 3, "products"),
         ("F_1000", 0, 4, "refused"),
         # A line class: a square by one product, higher powers by the recurrence.

@@ -25,8 +25,8 @@ from atiyah import (
     tensor_indec,
 )
 from atiyah.bundles import MAX_LOOP_WORDS
-from atiyah.characters import _verify_pairs, character_power
-from atiyah.cli import _VERIFY_PROBES, main
+from atiyah.characters import _VERIFY_PROBES, _verify_pairs, character_power
+from atiyah.cli import main
 
 NT = TorsionContext(0)
 
@@ -228,7 +228,7 @@ def test_packed_verify_reads_off_what_oracle_check_peels(torsion, monkeypatch):
     monkeypatch.setattr(characters_module, "tensor_indec", from_character)
     for rmax in range(1, 31):
         compared.clear()
-        assert _verify_pairs(ctx, rmax, _VERIFY_PROBES) == []
+        assert _verify_pairs(ctx, rmax) == []
         assert len(compared) == len(_VERIFY_PROBES) * rmax * (rmax + 1) // 2
 
 
@@ -351,7 +351,7 @@ def _verify_refuses(rmax, monkeypatch):
 
     monkeypatch.setattr(characters_module, "_packed_brackets", packed)
     try:
-        _verify_pairs(NT, rmax, _VERIFY_PROBES)
+        _verify_pairs(NT, rmax)
     except _Packing:
         return False
     except ValueError as err:
