@@ -256,11 +256,15 @@ def dual(context: TorsionContext, a: IndecomposableBundle) -> IndecomposableBund
 
 # Most multiplicity words (64 bits) that one product, or the repeated products
 # of a tensor power, may write, by :func:`_product_words` or :func:`_loop_fits`;
-# most word operations of a power, by ``characters._recurrence_plan``; and most
-# formula terms of ``characters._verify_pairs``.  At the limit ``verify --rmax
-# 127`` takes 0.6 s and 25 MB, as text or JSON; ``tensor F_1000000^2`` prints
-# 10^6 terms in 1.4 s and 370 MB (2.5 s, 590 MB as JSON); fresh processes,
-# shared 2-vCPU Xeon.
+# most word operations of a power, by ``characters._recurrence_plan``; most
+# formula terms of ``characters._verify_pairs``; and most slots of the one
+# product of ``characters.oracle_check``.  At the limit ``verify --rmax 127``
+# takes 0.6 s and 16.6 MB, as text or JSON, one pair product at a time;
+# ``oracle_check`` of F_1048576 and F_1 takes 0.06 s and 26 MB, but of
+# F_524288 and F_524289, whose factors are both large, 11 s and 196 MB, since
+# big-integer products grow faster than their size; ``tensor F_1000000^2``
+# prints 10^6 terms in 1.4 s and 370 MB (2.5 s, 590 MB as JSON); fresh
+# processes, shared 2-vCPU Xeon.
 MAX_LOOP_WORDS = 1 << 20
 
 
@@ -379,8 +383,8 @@ class KRingElement:
         return KRingElement
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = KRingElement.unit(self.context).scale(other)
+        if isinstance(other, int):  # k·O, a bundle sum for k >= 0
+            other = (BundleSum if other >= 0 else KRingElement).unit(self.context).scale(other)
         if not isinstance(other, KRingElement):
             return NotImplemented
         cls = self._check_context(other)
@@ -399,7 +403,9 @@ class KRingElement:
         return KRingElement(self.context, {b: -c for b, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (int, KRingElement)):
+        if isinstance(other, int):
+            other = KRingElement.unit(self.context).scale(other)
+        if not isinstance(other, KRingElement):
             return NotImplemented
         return self + (-other)
 
@@ -544,8 +550,9 @@ class BundleSum(KRingElement):
 
     Negative multiplicities are rejected where they enter (:meth:`of`,
     :meth:`single`, :meth:`scale`).  Direct sums, tensor products, duals and
-    scalings by k >= 0 of bundle sums are bundle sums; subtraction, negation
-    or any signed operand gives a :class:`KRingElement`.  The empty sum is the
+    scalings by k >= 0 of bundle sums are bundle sums, and so is a bundle sum
+    plus an integer k >= 0, read as k·O; subtraction, negation or any signed
+    operand gives a :class:`KRingElement`.  The empty sum is the
     zero object; it only shows up as an arithmetic intermediate (e.g. scaling
     by 0), never as an isomorphism class of an actual bundle.
     """

@@ -19,18 +19,19 @@ Kronecker substitution (Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", J. Symbolic Comput. 2009): coefficients
 go into fixed-width slots of one Python integer, big-integer arithmetic does
 the convolution, and :func:`_unpack` reads the slots back.  A product of two
-classes is one block of slots, the t-row of [r]_q·[s]_q from its lowest
-q-exponent up, and one block test reads it (:func:`_read_block`): the block
-is a palindrome (q-symmetric) with no zero slot, and each multiplicity,
-c(e, w) − c(e, w+2), is a slot minus the one before it.  :func:`oracle_check`
-packs the two brackets of its pair and reads the one block of their product.
-``verify`` (:func:`_verify_pairs`) packs every bracket up to ``--rmax`` into
-each of two integers, at strides that keep every pair's product in its own
-block of slots, and reads every pair off the one integer product; it refuses
-an rmax whose formula side would write more than ``bundles.MAX_LOOP_WORDS``
-terms.  Neither packing nor block test knows the Clebsch-Gordan rule, which
-keeps the oracle independent of the formula it checks.  A block that fails
-the test is handed to :func:`decompose_character`, which names the failure.
+classes is one pair product: each bracket is packed as a row of ones
+(:func:`_ones`), and the integer product of the two rows is the t-row of
+[r]_q·[s]_q from its lowest q-exponent up, one block of r + s − 1 slots.  One
+block test reads it (:func:`_read_block`): the block is a palindrome
+(q-symmetric) with no zero slot, and each multiplicity, c(e, w) − c(e, w+2),
+is a slot minus the one before it.  :func:`oracle_check` makes the pair
+product of its pair and refuses one of more than ``bundles.MAX_LOOP_WORDS``
+slots.  ``verify`` (:func:`_verify_pairs`) packs each bracket up to
+``--rmax`` once and makes the pair product of every pair; it refuses an rmax
+whose formula side would write more than ``bundles.MAX_LOOP_WORDS`` terms.
+Neither packing nor block test knows the Clebsch-Gordan rule, which keeps
+the oracle independent of the formula it checks.  A block that fails the
+test is handed to :func:`decompose_character`, which names the failure.
 
 :func:`decompose_character`, the public inverse of :func:`character`, checks
 q-symmetry over every monomial, then gaps and descents in the pass that
@@ -110,13 +111,11 @@ def _unpack(v: int, count: int, width: int) -> Sequence[int]:
     return list(map(int.from_bytes, slots, repeat("little")))
 
 
-def _differences(
-    values: Sequence[int], start: int, stop: int, above: int
-) -> list[tuple[int, int]]:
-    """(i, values[i] − values[i − above]) for each slot start <= i < stop
-    whose value and difference are nonzero, a slot below 0 reading as 0: the
-    multiplicities c(e, w) − c(e, w + 2) of packed character coefficients,
-    slot i − ``above`` holding the coefficient one q-step further from 0.
+def _differences(values: Sequence[int], above: int) -> list[tuple[int, int]]:
+    """(i, values[i] − values[i − above]) for each slot i whose value and
+    difference are nonzero, a slot below 0 reading as 0: the multiplicities
+    c(e, w) − c(e, w + 2) of packed character coefficients, slot i − ``above``
+    holding the coefficient one q-step further from 0.
 
     In every t-column, a folded one too, the coefficients of a character
     fall away from q = 0: c(e, q) − c(e, q + 2) is a multiplicity, so it is
@@ -124,7 +123,7 @@ def _differences(
     no term, and only the nonzero slots are walked.
     """
     found = []
-    for i in compress(range(start, stop), values[start:stop]):
+    for i in compress(range(len(values)), values):
         c = values[i]
         if i >= above:
             c -= values[i - above]
@@ -133,25 +132,29 @@ def _differences(
     return found
 
 
-def _read_block(values: Sequence[int], start: int, n: int) -> dict[int, int] | None:
-    """{r: multiplicity of F_r} read off the ``n`` slots of ``values`` from
-    ``start`` on, a character's t-row from its lowest q-exponent up, every
-    other one; None if they are no character's row.  The block test: the
-    slots are a palindrome (q-symmetric) with no zero (a character has none
-    inside its span), and no difference of the lower half, a slot minus the
-    one before it, is negative.  Below slot 0 reads as 0; the slot before
-    ``start`` > 0 is read as it is (a valid packing leaves it zero).  Slot
-    start + j reads off as F_(n − 2·j), its difference the multiplicity
-    where that is nonzero; a block with no such term is rejected.  The test
-    and the read-off are C-level calls over the block (slices, ``map`` and
-    ``compress``), with no interpreter step per slot.
+def _ones(r: int, width: int) -> int:
+    """[r]_q packed as a row of r ones in slots of ``width`` bytes, a slot per
+    other q-exponent from the lowest up."""
+    return int.from_bytes((1).to_bytes(width, "little") * r, "little")
+
+
+def _read_block(block: Sequence[int]) -> dict[int, int] | None:
+    """{r: multiplicity of F_r} read off ``block``, the slots of a character's
+    t-row from its lowest q-exponent up, every other one; None if they are no
+    character's row.  The block test: the slots are a palindrome
+    (q-symmetric) with no zero (a character has none inside its span), and
+    no difference of the lower half, a slot minus the one before it (0 before
+    the first), is negative.  Slot j of n reads off as F_(n − 2·j), its
+    difference the multiplicity where that is nonzero; a block with no such
+    term is rejected.  The test and the read-off are C-level calls over the
+    block (slices, ``map`` and ``compress``), with no interpreter step per
+    slot.
     """
-    block = values[start:start + n]
     if block != block[::-1] or 0 in block:
         return None
+    n = len(block)
     half = (n + 1) // 2
-    below = values[start - 1:start - 1 + half] if start else (0, *block[:half - 1])
-    steps = list(map(sub, block[:half], below))
+    steps = list(map(sub, block[:half], (0, *block[:half - 1])))
     read = dict(compress(zip(range(n, 0, -2), steps), steps))
     return read if read and min(steps) >= 0 else None
 
@@ -401,7 +404,7 @@ def _recurrence_power(
     data = b"".join(row.to_bytes(slots * width, "little") for row in rows)
     values = _unpack(int.from_bytes(data, "little"), len(rows) * slots, width)
     result = {}
-    for i, c in _differences(values, 0, len(values), 2 // step * slots):
+    for i, c in _differences(values, 2 // step * slots):
         k, e = divmod(i, slots)
         index = power * top - step * k + 1
         result[_key(IndecomposableBundle, (index, reduce(power * t_lo + e)))] = c
@@ -425,23 +428,28 @@ def oracle_check(
 ) -> OracleCheck:
     """Decompose a ⊗ b along both routes and compare the multisets.
 
-    The character route packs [r]_q and [s]_q as rows of ones, a slot per
-    other q-exponent, makes one integer product and reads its one block of
-    r + s − 1 slots by the block test of ``verify`` (:func:`_read_block`),
-    in O(r + s) interpreter steps.  No coefficient of [r]_q·[s]_q exceeds
+    The character route packs [r]_q and [s]_q as rows of ones
+    (:func:`_ones`), makes one integer product and reads its r + s − 1
+    slots by the block test of ``verify`` (:func:`_read_block`), in
+    O(r + s) interpreter steps.  No coefficient of [r]_q·[s]_q exceeds
     min(r, s), so slots of that many bits never carry.  A block that fails
     the test goes to :func:`decompose_character`, which names the
-    :class:`NotACharacterError`.
+    :class:`NotACharacterError`.  Raises ``ValueError``, before either
+    route, when the product would have more than ``MAX_LOOP_WORDS`` slots.
     """
     (r, ea), (s, eb) = a, b
+    n = r + s - 1
+    if n > MAX_LOOP_WORDS:
+        raise ValueError(
+            f"the character product of F_{r} and F_{s} would have {n} slots, "
+            f"above the limit of {MAX_LOOP_WORDS}"
+        )
     a, b = context.bundle(ea, r), context.bundle(eb, s)
     formula = tensor_indec(context, a, b)
-    n, width = r + s - 1, _slot_width(min(r, s).bit_length())
-    one = (1).to_bytes(width, "little")
-    product = int.from_bytes(one * r, "little") * int.from_bytes(one * s, "little")
-    values = _unpack(product, n, width)
+    width = _slot_width(min(r, s).bit_length())
+    values = _unpack(_ones(r, width) * _ones(s, width), n, width)
     t = context.reduce_exponent(ea + eb)
-    read = _read_block(values, 0, n)
+    read = _read_block(values)
     if read is None:
         peeled = decompose_character(_block_row(context, values, t))
     else:
@@ -465,29 +473,26 @@ def _verify_pairs(
     b = L^eb ⊗ F_s: the oracle side is :func:`decompose_character` of the
     pair's product, or the :class:`NotACharacterError` it raised.
 
-    One big-integer product holds every pair's character product (Kronecker
-    substitution in two more variables, Harvey 2009).  With y = q², the
-    bracket [r]_q is q^(1−r)·Σ_{i<r} y^i, and A = Σ_r u^r·Σ_{i<r} y^i and
-    B = Σ_s v^s·Σ_{j<s} y^j are packed with a slot per power of y, u = y^S1
-    for S1 = 2·rmax slots and v = y^S2 for S2 = (rmax + 1)·S1.  In A·B, the
-    block of [r]_q·[s]_q starts at slot r·S1 + s·S2 and has r + s − 1 < S1
-    slots; r + s·(rmax + 1) differs for every pair, so no two blocks meet,
-    and the slot before each block is zero.  No coefficient of [r]_q·[s]_q
-    exceeds min(r, s), so slots of rmax's bits never carry.  Each factor is
-    one t-row, so the product is the same at every probe, which only labels
-    it with the line exponent ea + eb.
+    Each bracket [r]_q is packed once as a row of r ones (:func:`_ones`,
+    as in :func:`oracle_check`), in slots of rmax's bits, which never carry
+    since no coefficient of [r]_q·[s]_q exceeds min(r, s).  Each pair makes
+    the integer product of its two rows, :func:`oracle_check`'s product, and
+    reads its r + s − 1 slots.  Each factor is one t-row, so the product is
+    the same at every probe, which only labels it with the line exponent
+    ea + eb.
 
     A block agrees with the formula when it passes the block test of
     :func:`_read_block` and the multiplicities read off it are the formula's
     terms.  Neither the packing nor the read-off applies the Clebsch-Gordan
-    rule.  Once per run: the product, each probe's t = ea + eb, and the
+    rule.  Once per run: each probe's t = ea + eb, and the rows and the
     classes L^eb ⊗ F_s of every s; once per r: the classes L^ea ⊗ F_r.
-    Once per pair: the block test, and the read-off labelled with each
-    distinct t (over L of order 3 all three probes share t = 0).  Once per
-    pair and probe: one ``tensor_indec`` call, looked up as a module global,
-    and one comparison with the read-off labelled with that probe's t.
-    Raises ``ValueError`` before packing when the formula terms, min(r, s)
-    per pair and R(R + 1)(R + 2)/6 per probe, exceed ``MAX_LOOP_WORDS``.
+    Once per pair: the product, the block test, and the read-off labelled
+    with each distinct t (over L of order 3 all three probes share t = 0).
+    Once per pair and probe: one ``tensor_indec`` call, looked up as a
+    module global, and one comparison with the read-off labelled with that
+    probe's t.  Raises ``ValueError`` before packing when the formula terms,
+    min(r, s) per pair and R(R + 1)(R + 2)/6 per probe, exceed
+    ``MAX_LOOP_WORDS``.
     """
     terms = len(_VERIFY_PROBES) * rmax * (rmax + 1) * (rmax + 2) // 6
     if terms > MAX_LOOP_WORDS:
@@ -497,43 +502,29 @@ def _verify_pairs(
         )
     bundle = context.bundle
     width = _slot_width(rmax.bit_length())
-    s1 = 2 * rmax
-    s2 = (rmax + 1) * s1
-    count = rmax * (s1 + s2) + 2 * rmax - 1
-    values = _unpack(_packed_brackets(rmax, s1, width) * _packed_brackets(rmax, s2, width),
-                     count, width)
+    rows = [_ones(r, width) for r in range(1, rmax + 1)]
     ts = [context.reduce_exponent(ea + eb) for ea, eb in _VERIFY_PROBES]
     labels = set(ts)
     seconds = [[bundle(eb, s) for _, eb in _VERIFY_PROBES] for s in range(1, rmax + 1)]
     failures = []
-    for r in range(1, rmax + 1):
+    for r, row in enumerate(rows, 1):
         firsts = [bundle(ea, r) for ea, _ in _VERIFY_PROBES]
-        for s, ys in zip(range(1, r + 1), seconds):
-            start, n = r * s1 + s * s2, r + s - 1
-            read = _read_block(values, start, n)
+        for s, ys, other in zip(range(1, r + 1), seconds, rows):
+            values = _unpack(row * other, r + s - 1, width)
+            read = _read_block(values)
             if read is not None:
                 # A class equals its plain pair (index, exponent).
                 expected = {t: dict(zip(zip(read, repeat(t)), read.values())) for t in labels}
             for x, y, t in zip(firsts, ys, ts):
                 formula = tensor_indec(context, x, y)
                 if read is None or formula.terms != expected[t]:
-                    row = _block_row(context, values[start:start + n], t)
                     try:
-                        oracle = decompose_character(row)
+                        oracle = decompose_character(_block_row(context, values, t))
                     except NotACharacterError as err:
                         oracle = err
                     failures.append((x, y, formula, oracle))
                     break
     return failures
-
-
-def _packed_brackets(rmax: int, stride: int, width: int) -> int:
-    """Σ_{r <= rmax} z^r·Σ_{i<r} y^i for z = y^stride, in slots of ``width``
-    bytes, one per power of y, joined from its bytes with no list of slots:
-    stride − r + 1 zero slots below z^r, then r ones."""
-    one = (1).to_bytes(width, "little")
-    data = b"".join(bytes((stride - r + 1) * width) + one * r for r in range(1, rmax + 1))
-    return int.from_bytes(data, "little")
 
 
 def _block_row(context: TorsionContext, block: Sequence[int], t: int) -> BivariateCharacter:

@@ -830,10 +830,27 @@ def test_kring_extends_bundle_arithmetic(ctx, data):
     # BundleSum is the non-negative view: operations that keep coefficients
     # non-negative keep the view, anything signed leaves it.
     powers = (x ** 2, x ** -1) if x else ()
-    for value in (x + y, x.tensor(y), x * y, x.dual(), x.scale(n), n * x, *powers):
+    for value in (x + y, x.tensor(y), x * y, x.dual(), x.scale(n), n * x, x + n, n + x, *powers):
         assert type(value) is BundleSum
-    for value in (x - y, -x, x + k, k + x, x * k, k * x, x.tensor(k), x + 1, k.dual(), k.scale(n)):
+    for value in (x - y, -x, x + k, k + x, x * k, k * x, x.tensor(k), x - n, x + -1 - n,
+                  k.dual(), k.scale(n), k + n):
         assert type(value) is KRingElement
+
+
+def test_bundle_sum_plus_a_non_negative_integer_is_a_bundle_sum():
+    # k >= 0 is read as k·O, so the sum keeps the bundle-sum view, its
+    # tensor power and the power plan behind **.
+    e = BundleSum.single(NT, NT.atiyah(2))
+    for value in (e + 3, 3 + e, e + 0, e * 3):
+        assert type(value) is BundleSum
+    assert e + 3 == 3 + e == BundleSum.of(NT, [(NT.line(0), 3), (NT.atiyah(2), 1)])
+    assert e + 0 == e
+    for value in (e + -1, -1 + e, e - 1, e - 0):
+        assert type(value) is KRingElement
+    cube = BundleSum.of(
+        NT, [(NT.line(0), 4), (NT.atiyah(2), 5), (NT.atiyah(3), 3), (NT.atiyah(4), 1)])
+    assert (e + 1).tensor_power(3) == (e + 1) ** 3 == cube
+    assert type((e + 1) ** 3) is BundleSum
 
 
 def test_signed_str():

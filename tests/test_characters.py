@@ -207,12 +207,12 @@ def test_verify_and_oracle_products_take_the_packed_path(monkeypatch, capsys):
 
 @pytest.mark.parametrize("torsion", range(7))
 def test_packed_verify_reads_off_what_oracle_check_peels(torsion, monkeypatch):
-    # The read-off of verify's one packed product, at every pair F_r, F_s
+    # The read-off of verify's pair product, at every pair F_r, F_s
     # (s <= r <= R) and probe, for every R <= 30, equals what oracle_check
     # peels off that pair's own character product: with the formula side
     # replaced by oracle_check's from_character, every pair agrees at every
-    # probe.  A stride that lets blocks meet or a block read one slot off
-    # breaks this.
+    # probe.  A row of the wrong length or a block read one slot off breaks
+    # this.
     ctx = TorsionContext(torsion)
     peeled = {
         (a, b): oracle_check(ctx, a, b).from_character
@@ -232,24 +232,22 @@ def test_packed_verify_reads_off_what_oracle_check_peels(torsion, monkeypatch):
         assert len(compared) == len(_VERIFY_PROBES) * rmax * (rmax + 1) // 2
 
 
-def read_block_by_differences(values, start, n):
+def read_block_by_differences(block):
     """The block test and read-off of ``_read_block`` written slot by slot
     with ``_differences``: the reference for the C-level read."""
-    block = values[start:start + n]
     if block != block[::-1] or 0 in block:
         return None
-    top = n + 2 * start
-    half = characters_module._differences(values, start, start + (n + 1) // 2, 1)
-    read = {top - 2 * i: c for i, c in half}
+    n = len(block)
+    half = characters_module._differences(block[:(n + 1) // 2], 1)
+    read = {n - 2 * i: c for i, c in half}
     return read if min(read.values(), default=0) > 0 else None
 
 
 @st.composite
 def slot_rows(draw):
-    """(slot values as ``_unpack`` returns them at a width of 1, 2 or 3
-    bytes, start, n): a block of n slots after ``start`` slots and before a
-    few more.  The block is a character's row (rising to the middle), any
-    palindrome (zero slots and descents among them) or any row."""
+    """A block of slot values as ``_unpack`` returns them at a width of 1, 2
+    or 3 bytes: a character's row (rising to the middle), any palindrome
+    (zero slots and descents among them) or any row."""
     width = draw(st.sampled_from((1, 2, 3)))
     slot = st.one_of(st.integers(0, 3), st.integers(0, (1 << 8 * width) - 1))
     kind = draw(st.sampled_from(("character", "palindrome", "any")))
@@ -262,27 +260,20 @@ def slot_rows(draw):
         else:
             half = draw(st.lists(slot, max_size=6))
         block = half + half[-2::-1] if draw(st.booleans()) else half + half[::-1]
-    before = draw(st.lists(slot, max_size=3))
-    values = before + block + draw(st.lists(slot, max_size=3))
-    packed = characters_module._pack(values, width)
-    return characters_module._unpack(packed, len(values), width), len(before), len(block)
+    packed = characters_module._pack(block, width)
+    return characters_module._unpack(packed, len(block), width)
 
 
 @given(slot_rows())
 @settings(max_examples=400, deadline=None)
-@example(([1, 2, 1], 0, 3))
-@example(([0, 1, 2, 1, 0], 1, 3))
-@example(([1, 1, 2, 1], 1, 3))  # the slot before start cancels the first step
-@example(([2, 1, 2, 1], 1, 3))  # ... or makes it negative
-@example(([1, 1, 1], 1, 2))  # an empty read-off: None
-@example(([3, 2, 3], 0, 3))  # a descent
-@example(([1, 0, 1], 0, 3))  # a zero slot
-@example(([1, 2, 3], 0, 3))  # no palindrome
-@example(([], 0, 0))
-def test_read_block_reads_like_the_slot_by_slot_differences(row):
-    values, start, n = row
-    read = characters_module._read_block(values, start, n)
-    expected = read_block_by_differences(values, start, n)
+@example([1, 2, 1])
+@example([3, 2, 3])  # a descent
+@example([1, 0, 1])  # a zero slot
+@example([1, 2, 3])  # no palindrome
+@example([])
+def test_read_block_reads_like_the_slot_by_slot_differences(block):
+    read = characters_module._read_block(block)
+    expected = read_block_by_differences(block)
     assert read == expected
     if read is not None:
         assert list(read.items()) == list(expected.items())
@@ -341,15 +332,16 @@ def test_verify_checks_each_probe_against_its_own_read_off(monkeypatch):
 
 
 class _Packing(Exception):
-    """Raised in place of packing, once verify has passed its size check."""
+    """Raised in place of packing a row, once a size check has passed."""
+
+
+def _packing(*args):
+    raise _Packing
 
 
 def _verify_refuses(rmax, monkeypatch):
     """Whether ``_verify_pairs`` refuses rmax before packing."""
-    def packed(*args):
-        raise _Packing
-
-    monkeypatch.setattr(characters_module, "_packed_brackets", packed)
+    monkeypatch.setattr(characters_module, "_ones", _packing)
     try:
         _verify_pairs(NT, rmax)
     except _Packing:
@@ -368,6 +360,37 @@ def test_verify_accepts_every_rmax_the_old_count_accepted(monkeypatch):
         if 3 * rmax * (rmax + 1) ** 2 // 2 <= MAX_LOOP_WORDS:
             assert not refused, rmax
         assert refused == (rmax > 127), rmax
+
+
+@pytest.mark.parametrize("torsion", [0, 3, 4])
+def test_verify_makes_one_pair_sized_product_per_pair(torsion, monkeypatch):
+    # One product per pair F_r, F_s, read off its own r + s - 1 slots, not
+    # one product of every pair at once.
+    ctx = TorsionContext(torsion)
+    unpack = characters_module._unpack
+    counts = []
+
+    def recorded(v, count, width):
+        counts.append(count)
+        return unpack(v, count, width)
+
+    monkeypatch.setattr(characters_module, "_unpack", recorded)
+    for rmax in range(1, 31):
+        counts.clear()
+        assert _verify_pairs(ctx, rmax) == []
+        assert len(counts) == rmax * (rmax + 1) // 2
+        assert max(counts) <= 2 * rmax - 1
+
+
+def test_oracle_check_refuses_a_product_over_the_limit_before_packing(monkeypatch):
+    # F_r x F_s has r + s - 1 slots; one more than MAX_LOOP_WORDS is refused
+    # before either route, and MAX_LOOP_WORDS itself goes on to packing.
+    monkeypatch.setattr(characters_module, "_ones", _packing)
+    big = NT.atiyah(MAX_LOOP_WORDS)
+    with pytest.raises(ValueError, match="limit"):
+        oracle_check(NT, big, NT.atiyah(2))
+    with pytest.raises(_Packing):
+        oracle_check(NT, big, NT.atiyah(1))
 
 
 def test_slot_by_slot_packing_gives_the_same_power_and_oracle_check(monkeypatch):
