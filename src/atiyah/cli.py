@@ -42,13 +42,17 @@ class _Parser(argparse.ArgumentParser):
 
     ``parse_args`` reads the plain shape ``POS... (--opt VALUE)...``, in any
     order, with each value through its action's own ``type`` and
-    ``choices``.  It falls back to argparse, which parses the argv from
-    scratch and gives its own result or message, on: a token that starts
-    with ``-`` and is not an exact store-option string (``-h``, ``--``,
-    ``--opt=value``, an abbreviation, a negative number); a missing value or
-    one that starts with ``-``; an option given twice; the wrong number of
-    positionals; a missing required option; a ``type`` that raises or a
-    value outside ``choices``.  A parser without a table always falls back.
+    ``choices``.  A token that looks like a negative number (the parser's
+    ``_negative_number_matcher``) is a positional, as argparse takes it when
+    no option string looks like one.  ``parse_args`` falls back to argparse,
+    which parses the argv from scratch and gives its own result or message,
+    on: a token that starts with ``-`` and is neither a negative number nor
+    an exact store-option string (``-h``, ``--``, ``--opt=value``, an
+    abbreviation); a missing value or one that starts with ``-``; an option
+    given twice; the wrong number of positionals, or for ``p1``'s degrees
+    (``nargs="+"``) none or more than one contiguous run of them; a missing
+    required option; a ``type`` that raises or a value outside ``choices``.
+    A parser without a table always falls back.
     """
 
     _table = None
@@ -66,16 +70,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_table(parser: _Parser):
     """(store options by option string, positionals, defaults, required
-    option dests) of a parser, from its own actions; None for a parser with
-    an action other than -h and plain store actions, a positional or option
-    whose ``nargs`` is set (``p1``'s degrees), or a string default that
-    argparse would convert through a ``type``."""
+    option dests, the negative-number test) of a parser, from its own
+    actions; None for a parser with an action other than -h and plain store
+    actions, an option whose ``nargs`` is set, a positional whose ``nargs``
+    is set unless it is a sole ``nargs="+"`` one (``p1``'s degrees), a
+    string default that argparse would convert through a ``type``, or an
+    option string that looks like a negative number."""
+    if parser._has_negative_number_optionals:
+        return None
     options, positionals, required = {}, [], []
     defaults = dict(parser._defaults)  # set_defaults, for the dests no action has
     for action in parser._actions:
         if isinstance(action, argparse._HelpAction):
             continue
-        if (type(action) is not argparse._StoreAction or action.nargs is not None
+        if (type(action) is not argparse._StoreAction
+                or action.nargs is not None and (action.nargs != "+" or action.option_strings)
                 or isinstance(action.default, str) and action.type is not None):
             return None
         defaults[action.dest] = action.default
@@ -85,7 +94,9 @@ def _read_table(parser: _Parser):
         options.update(dict.fromkeys(action.option_strings, action))
         if action.required:
             required.append(action.dest)
-    return options, positionals, defaults, required
+    if len(positionals) > 1 and any(action.nargs for action in positionals):
+        return None
+    return options, positionals, defaults, required, parser._negative_number_matcher.match
 
 
 def _value(action, text: str):
@@ -99,23 +110,35 @@ def _value(action, text: str):
 
 def _read(table, args) -> dict | None:
     """The parsed values of an argv of the plain shape, or None to fall back."""
-    options, positionals, defaults, required = table
+    options, positionals, defaults, required, is_number = table
     given, tokens = {}, []
+    ahead = None  # the positionals read before the first option that follows one
     arg_iter = iter(args)
     try:
         for token in arg_iter:
-            if token[:1] != "-":
+            action = options.get(token)
+            if action is None:
+                if token[:1] == "-" and not is_number(token):
+                    return None
                 tokens.append(token)
                 continue
-            action = options.get(token)
+            if ahead is None and tokens:
+                ahead = len(tokens)
             text = next(arg_iter, "-")  # so that a missing value falls back
-            if action is None or text[:1] == "-" or action.dest in given:
+            if text[:1] == "-" or action.dest in given:
                 return None
             given[action.dest] = _value(action, text)
-        if len(tokens) != len(positionals):
-            return None
-        for action, text in zip(positionals, tokens):
-            given[action.dest] = _value(action, text)
+        if positionals and positionals[0].nargs == "+":
+            # argparse gives the degrees their first run and refuses the rest.
+            if not tokens or ahead not in (None, len(tokens)):
+                return None
+            action = positionals[0]
+            given[action.dest] = [_value(action, text) for text in tokens]
+        else:
+            if len(tokens) != len(positionals):
+                return None
+            for action, text in zip(positionals, tokens):
+                given[action.dest] = _value(action, text)
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         return None
     for dest in required:
@@ -425,8 +448,9 @@ def build_parser(command: str | None = None) -> _Parser:
     its subparsers action; the usage errors are the same, since the subparser
     raises them on either route.  A subcommand's ``parse_args`` reads a
     well-formed argv straight off the table that :func:`_read_table` makes
-    from its own actions, and leaves every other argv, and all of ``p1``'s,
-    to argparse (see :class:`_Parser`); the full parser always uses argparse.
+    from its own actions, ``p1``'s degrees and negative numbers included, and
+    leaves every other argv to argparse (see :class:`_Parser`); the full
+    parser always uses argparse.
     The parsers and their tables are built once, on first use (about 2 ms),
     and a copy costs about 3 us.  Each caller gets its own copy, so that
     rebinding an attribute of the result, as a tracer that wraps

@@ -15,19 +15,21 @@ they act through the dual.  Parentheses nest at most ``MAX_NESTING`` deep,
 which also bounds the depth of the expression tree.
 
 The source is tokenized by one compiled pattern into (kind, value,
-position) tuples and parsed into a tree of four node kinds: :class:`Atom`
-(a class L^e ⊗ F_r), :class:`Sum`, :class:`Product` and :class:`Power`.
-An ``Atom`` is ``O``, ``L`` or ``F_r``, and also a line power (``L^e``,
-``(L^-1)^-1^2``, ``O^5``) and a product of line atoms with at most one
-``F_r``: each class name ``L^e*F_r`` parses to one ``Atom(e, r)``, which
-evaluates by one ``context.bundle`` call, and a product's leading run of
-such factors folds the same way.  A sum holds (multiplicity, node)
-parts, so ``k X`` is the part (k, X), and a lone ``k X`` is a one-part sum.
-It is accumulated once: every part's terms, times its multiplicity, are
-added into one dict that becomes one :class:`BundleSum`.  Products go
-through ``BundleSum.tensor``, with its size check, and powers through
-``BundleSum.tensor_power``, whose plan takes a line class ``L^e`` to any
-power in one word operation.
+position) tuples, each line power ``L^e`` and each ``F_r`` that no exponent
+follows as one token holding its ``Atom``, and parsed into a tree of four
+node kinds: :class:`Atom` (a class L^e ⊗ F_r), :class:`Sum`,
+:class:`Product` and :class:`Power`.  An ``Atom`` is ``O``, ``L`` or
+``F_r``, and also a line power (``L^e``, ``(L^-1)^-1^2``, ``O^5``) and a
+product of line atoms with at most one ``F_r``: each class name
+``L^e*F_r`` parses to one ``Atom(e, r)``, which evaluates by one
+``context.bundle`` call, and a product's leading run of such factors folds
+the same way.  A sum holds (multiplicity, node) parts, so ``k X`` is the
+part (k, X), and a lone ``k X`` is a one-part sum.  It is accumulated once:
+every part's terms, times its multiplicity, are added into one dict that
+becomes one :class:`BundleSum`, an ``Atom`` part's class directly.
+Products go through ``BundleSum.tensor``, with its size check, and powers
+through ``BundleSum.tensor_power``, whose plan takes a line class ``L^e``
+to any power in one word operation.
 """
 
 from __future__ import annotations
@@ -49,24 +51,47 @@ class ExpressionError(ValueError):
 
 
 # A token is a plain tuple (kind, value, position): value is the integer of
-# an "int" token and None otherwise, position its offset in the source.
-Token = tuple[str, int | None, int]
+# an "int" token, the Atom of an "atom" token and None otherwise, position
+# its offset in the source.
+Token = tuple[str, "int | Atom | None", int]
 
 _PUNCT = {"+": "plus", "*": "star", "^": "caret", "(": "lparen", ")": "rparen",
           "-": "minus", "_": "underscore", "O": "O", "L": "L", "F": "F"}
 
-# One alternative per token class: a run of decimal digits, one grammar
-# character, whitespace, or any other character.  Over str, \d and \s match
-# exactly the characters that str.isdecimal and str.isspace accept.
-_TOKEN = re.compile(r"(\d+)|([-+*^()_OLF])|\s+|(.)")
+# One alternative per token class, tried in order: a class name, a run of
+# decimal digits, one grammar character, whitespace, or any other character.
+# Over str, \d and \s match exactly the characters that str.isdecimal and
+# str.isspace accept.  A class name is a line power L^e or an Atiyah atom F_r,
+# F(r) or Fr with r >= 1, written without spaces in at most 18 ASCII digits,
+# followed by no digit and by no '^' after optional whitespace: its tokens
+# would make one Atom in _Parser.factor, and any other text (F_0, L ^ 2,
+# L^2^3, F_3^2, a longer or non-ASCII literal) keeps the tokens of its
+# characters, from which the parser builds that Atom or reports the error.
+_TOKEN = re.compile(
+    r"(L\^-?[0-9]{1,18}|F(?:_?(?=0*[1-9])[0-9]{1,18}|\((?=0*[1-9])[0-9]{1,18}\)))"
+    r"(?!\d)(?!\s*\^)"
+    r"|(\d+)|([-+*^()_OLF])|\s+|(.)"
+)
 
 
 def _tokenize(src: str) -> list[Token]:
+    """The tokens of ``src``, each class name as one "atom" token; one Atom
+    per distinct spelling."""
     tokens = []
     append = tokens.append
+    atoms: dict[str, Atom] = {}
     for match in _TOKEN.finditer(src):
-        digits, punct, junk = match.groups()
-        if punct is not None:
+        name, digits, punct, junk = match.groups()
+        if name is not None:
+            atom = atoms.get(name)
+            if atom is None:
+                if name[0] == "L":
+                    atom = Atom(int(name[2:]), 1)
+                else:
+                    atom = Atom(0, int(name[1:].strip("_()")))
+                atoms[name] = atom
+            append(("atom", atom, match.start()))
+        elif punct is not None:
             append((_PUNCT[punct], None, match.start()))
         elif digits is not None:
             try:
@@ -136,12 +161,19 @@ class Sum(Expression):
     parts: tuple[tuple[int, Expression], ...]
 
     def evaluate(self, context):
-        """Every part's terms, times its multiplicity, added into one dict.
-        Each part is evaluated, ``0 X`` too, so that X's errors still
-        surface; coefficients are >= 0, so no zero is stored."""
+        """Every part's terms, times its multiplicity, added into one dict;
+        an Atom part adds its class directly.  Each part is evaluated, ``0 X``
+        too, so that X's errors still surface; coefficients are >= 0, so no
+        zero is stored."""
         acc: dict[IndecomposableBundle, int] = {}
         get = acc.get
+        bundle = context.bundle
         for count, part in self.parts:
+            if type(part) is Atom:
+                b = bundle(part.exponent, part.index)
+                if count:
+                    acc[b] = get(b, 0) + count
+                continue
             terms = part.evaluate(context).terms
             if count:
                 for b, c in terms.items():
@@ -200,7 +232,7 @@ class _Parser:
         nxt = self.kind()
         if nxt == "star":
             self.take()
-        elif nxt not in ("O", "L", "F", "lparen"):
+        elif nxt not in ("atom", "O", "L", "F", "lparen"):
             return count, _O
         return count, self.factors()
 
@@ -246,7 +278,9 @@ class _Parser:
         return Power(node, tuple(exponents))
 
     def primary(self) -> Expression:
-        kind, _, position = self.take()
+        kind, value, position = self.take()
+        if kind == "atom":
+            return value
         if kind == "O":
             return _O
         if kind == "L":

@@ -796,7 +796,8 @@ def test_every_call_parses_once_through_the_wrapped_parser(monkeypatch):
 
 def test_well_formed_argv_is_read_without_argparse(monkeypatch):
     # A subcommand's parser reads an argv of the plain shape off its own
-    # table; p1's degrees (nargs="+") and -h go to argparse, once.
+    # table, p1's degrees (nargs="+") and negative numbers included; -h and
+    # degrees split by an option go to argparse, once.
     import argparse
 
     parse_known_args = argparse.ArgumentParser.parse_known_args
@@ -810,7 +811,9 @@ def test_well_formed_argv_is_read_without_argparse(monkeypatch):
     for argv, parsed in [
         (("classify", "--rank", "2", "--torsion", "4", "--format", "json"), []),
         (("power", "F_2", "--torsion", "4", "3"), []),
-        (("p1", "-2", "3"), ["atiyah p1"]),
+        (("p1", "-2", "3"), []),
+        (("power", "L*F_2", "-2"), []),
+        (("p1", "3", "--bound", "4", "5"), ["atiyah p1"]),
         (("tensor", "-h"), ["atiyah tensor"]),
     ]:
         del calls[:]
@@ -832,8 +835,13 @@ def test_direct_read_gives_argparse_namespace():
         ("grid",),
         ("power", "--out", "", "F_2", "3"),
         ("tensor", "L*F_2 + O"),
+        ("p1", "-2", "3"),
+        ("p1", "--bound", "4", "0", "-12", "5", "--format", "json"),
+        ("power", "L*F_2", "-2"),
+        ("tensor", "-1.5", "--torsion", "3"),
     ]:
         parser = subparsers[argv[0]]
+        assert cli_module._read(parser._table, argv[1:]) is not None, argv
         direct = parser.parse_args(list(argv[1:]))
         assert direct == argparse.ArgumentParser.parse_args(parser, list(argv[1:])), argv
 
@@ -842,15 +850,20 @@ def test_direct_read_gives_argparse_namespace():
 
 # Each subcommand's grammar: its positionals, then its options with values
 # (--format is added to every one; --out is left out, since it writes a file).
+# A positional of None is left out, so p1 gets one to three degrees.  Numbers
+# include tokens that start with "-", negative numbers to argparse or not.
+_NEGATIVE = st.sampled_from(["-2", "-12", "-0", "-1.5", "-.5", "-1e3", "-2x", "- 2"])
+_NUMBERS = st.one_of(_SMALL, _NEGATIVE)
 _GRAMMARS = {
-    "tensor": ((_EXPRESSIONS,), ("--torsion",)),
-    "power": ((_EXPRESSIONS, _SMALL), ("--torsion",)),
+    "tensor": ((st.one_of(_EXPRESSIONS, _NEGATIVE),), ("--torsion",)),
+    "power": ((_EXPRESSIONS, _NUMBERS), ("--torsion",)),
     "sset": ((), ("--rank", "--bound", "--torsion")),
     "classify": ((), ("--rank", "--torsion")),
     "express": ((), ("--index", "--chain")),
     "verify": ((), ("--rmax", "--torsion")),
     "grid": ((), ("--rmax", "--nmax")),
-    "p1": ((_SMALL, _SMALL), ("--bound",)),
+    "p1": ((_NUMBERS, st.one_of(st.none(), _NUMBERS), st.one_of(st.none(), _NUMBERS)),
+           ("--bound",)),
 }
 _OPTION_VALUES = st.one_of(
     _SMALL, st.sampled_from(["even", "odd", "text", "json", "x", "1.5", "", "-", "0x10", "-1"])
@@ -873,7 +886,8 @@ def _mutated_argv(draw):
     # parser's direct read; the other half are mutated.
     mutated = draw(st.booleans())
     styles = ["pair", "equals", "abbreviated", "missing", "repeated"] if mutated else ["pair"]
-    argv = [draw(value) for value in positionals]
+    argv = [value for value in map(draw, positionals) if value is not None]
+    count = len(argv)
     drawn = st.lists(st.sampled_from([*options, "--format"]), max_size=3, unique=not mutated)
     for option in draw(drawn):
         if option == "--format":
@@ -891,8 +905,8 @@ def _mutated_argv(draw):
             argv += [option, value, option, draw(_OPTION_VALUES)]
         else:
             argv += [option, value]
-    if positionals and draw(st.booleans()):
-        argv.append(argv.pop(draw(st.integers(0, len(positionals) - 1))))
+    if count and draw(st.booleans()):
+        argv.append(argv.pop(draw(st.integers(0, count - 1))))
     if not mutated:
         return [command, *argv]
     for _ in range(draw(st.integers(0, 2))):
@@ -905,6 +919,9 @@ def _mutated_argv(draw):
 @example(["express", "--index", "3", "--chain", "x"])  # a value outside choices
 @example(["tensor", "F_2", "--", "4"])  # -- is no option, nor a prefix of one
 @example(["classify", "--rank", "2", "--format", "json", "--format", "text"])  # the last wins
+@example(["p1", "3", "--bound", "4", "5"])  # degrees split by an option
+@example(["p1", "-2", "--format", "json", "-3"])  # negative degrees split by an option
+@example(["power", "L*F_2", "-1.5"])  # a negative number that is no integer
 @settings(max_examples=800, deadline=None)
 def test_subcommand_parser_matches_the_full_parser(argv):
     # The full-parser route: with no subcommand known to main, every call

@@ -16,7 +16,7 @@ from atiyah import (
     evaluate_expression,
     parse_expression,
 )
-from atiyah.expressions import MAX_NESTING, Atom, Power, Product, Sum, _tokenize
+from atiyah.expressions import MAX_NESTING, Atom, Power, Product, Sum, _Parser, _tokenize
 
 NT = TorsionContext(0)
 
@@ -184,7 +184,7 @@ _REFERENCE_PUNCT = {"+": "plus", "*": "star", "^": "caret", "(": "lparen",
 def reference_tokenize(src):
     """The tokenizer as a loop over characters: (kind, value, position)
     triples, runs of str.isdecimal characters as integers, str.isspace
-    characters skipped."""
+    characters skipped, and a class name as the tokens of its characters."""
     tokens = []
     i, size = 0, len(src)
     while i < size:
@@ -217,9 +217,9 @@ def reference_tokenize(src):
     return tokens
 
 
-def _outcome(tokenize, src):
+def _outcome(parse, src):
     try:
-        return [tuple(tok) for tok in tokenize(src)]
+        return parse(src)
     except ExpressionError as err:
         return str(err), err.position
 
@@ -233,16 +233,49 @@ _TOKEN_CHARS = st.one_of(
     st.characters(),  # anything else
 )
 
+# Class names in every spelling, with zero and padded indices, next to the
+# text that decides whether one is a token: '^' (after spaces too), digits,
+# long literals, spaces and other grammar characters.
+_NAME_PIECES = st.one_of(
+    st.integers(-12, 12).map(lambda e: f"L^{e}"),
+    st.tuples(st.sampled_from(["F_{}", "F({})", "F{}", "F_0{}", "F(00{})"]), st.integers(0, 12))
+    .map(lambda pair: pair[0].format(pair[1])),
+    st.sampled_from(["^", "^-", " ^", "^2", "^-1", "0", "7", " ", "*", "+", "(", ")", "_",
+                     "L", "F", "O", "1" * 19, "²", "٣", "\u3000"]),
+)
 
-@given(st.text(_TOKEN_CHARS, max_size=40))
+
+@given(st.one_of(st.text(_TOKEN_CHARS, max_size=40),
+                 st.lists(_NAME_PIECES, max_size=10).map("".join)))
 @example("F_٣ + L^２")
 @example("F_²")
 @example("1" * 4301)
 @example("O + " + "9" * 4301 + " F_2 ?")
 @example("2 F_2 ? " + "1" * 4301)
+@example("F_12^2 + L^10^-2")  # a '^' after a name of two digits
+@example("L^-" + "9" * 4301 + " + F_" + "0" * 4300 + "1")  # literals too long for int()
 @settings(max_examples=500, deadline=None)
 def test_tokenizer_matches_the_character_loop(src):
-    assert _outcome(_tokenize, src) == _outcome(reference_tokenize, src)
+    # Class names are one token, so tokens no longer compare; parse outcomes do.
+    reference = _outcome(lambda text: _Parser(reference_tokenize(text)).parse(), src)
+    assert _outcome(parse_expression, src) == reference
+
+
+@pytest.mark.parametrize("src, kinds", [
+    ("5 L^-3*F(5)", ["int", "atom", "star", "atom", "end"]),
+    ("L^2*F_3^2", ["atom", "star", "F", "underscore", "int", "caret", "int", "end"]),
+    ("F_0", ["F", "underscore", "int", "end"]),
+    ("L ^ 2", ["L", "caret", "int", "end"]),
+])
+def test_class_names_are_one_token_unless_the_parser_must_see_more(src, kinds):
+    assert [kind for kind, _, _ in _tokenize(src)] == kinds
+
+
+def test_one_atom_per_spelling():
+    tokens = _tokenize("F_3 + L^-3*F(5) + F_3 + F3")
+    atoms = [value for kind, value, _ in tokens if kind == "atom"]
+    assert atoms == [Atom(0, 3), Atom(-3, 1), Atom(0, 5), Atom(0, 3), Atom(0, 3)]
+    assert atoms[0] is atoms[3] and atoms[0] is not atoms[4]
 
 
 # -- long sums ---------------------------------------------------------------------
