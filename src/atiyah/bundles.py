@@ -29,22 +29,77 @@ a recurrence on characters, by a plan in counted interpreter steps
 (:meth:`BundleSum.tensor_power`) that sizes the repeated products in one
 loop over the powers (:func:`_loop_fits`), while ``KRingElement ** m``
 stays repeated Clebsch-Gordan products, so the two can be compared.
+
+:class:`TorsionContext`, :class:`KRingElement` and the records of the other
+modules are plain classes with ``__slots__`` and hand-written constructors
+over one small base, :class:`_Value`, which gives each its equality, hash,
+``repr`` and refused assignment from its slot names.  Every CLI call starts
+a fresh interpreter, so the package generates no methods at import and
+imports neither ``inspect`` nor ``typing``: generated value classes took
+about a fifth of that cold start.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 
 class ContextMismatchError(ValueError):
     """Raised when two values built over different torsion contexts are combined."""
 
 
-@dataclass(frozen=True)
-class TorsionContext:
+# Sets a field of a _Value in its constructor, past _Value.__setattr__.
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in order (a subclass that
+    adds none declares ``__slots__ = ()``), and its ``__init__`` sets them
+    with ``_set``, taking them positionally in that order.  Values of one
+    class are equal when their fields are, hash by their fields (so one
+    holding a dict is unhashable), print as ``Name(field=value, ...)``,
+    refuse assignment and deletion with ``AttributeError``, and copy and
+    pickle through their constructor.  Values of different classes never
+    compare equal, and none are ordered.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(
+            name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ())
+        )
+        if cls._fields:
+            # The fields in one C call: their tuple, or the one field itself.
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TorsionContext(_Value):
     """Order of the twisting line bundle L in Pic^0(X).
 
     ``order = 0`` means L is non-torsion (exponents are unrestricted),
@@ -52,11 +107,12 @@ class TorsionContext:
     L^n ≅ O (exponents are kept as residues in [0, n)).
     """
 
-    order: int
+    __slots__ = ("order",)
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order: int):
+        if order < 0:
             raise ValueError("torsion order must be >= 0")
+        _set(self, "order", order)
 
     def reduce_exponent(self, exponent: int) -> int:
         """Canonical representative of a line exponent in this context."""
@@ -298,18 +354,23 @@ def _spread(x: KRingElement) -> tuple[int, int, int, int, int]:
     return t_lo, span, len(exponents), max(indices) - 1, step
 
 
-@dataclass(frozen=True, eq=False)
-class KRingElement:
+class KRingElement(_Value):
     """An element of the Grothendieck ring K(X): a Z-linear combination of
     indecomposable classes, multiplied by the tensor rule extended bilinearly.
 
-    ``terms`` maps canonical classes to nonzero coefficients.  Equality is
-    equality in K(X), so a :class:`BundleSum` equals the element it views.
-    Treat instances as immutable.
+    ``terms`` maps canonical classes to nonzero coefficients (none by
+    default).  Equality is equality in K(X), so a :class:`BundleSum` equals
+    the element it views; elements are unhashable.  Treat ``terms`` as
+    immutable.
     """
 
-    context: TorsionContext
-    terms: dict[IndecomposableBundle, int] = field(default_factory=dict)
+    __slots__ = ("context", "terms")
+
+    def __init__(
+        self, context: TorsionContext, terms: dict[IndecomposableBundle, int] | None = None
+    ):
+        _set(self, "context", context)
+        _set(self, "terms", {} if terms is None else terms)
 
     @classmethod
     def of(
@@ -556,6 +617,8 @@ class BundleSum(KRingElement):
     zero object; it only shows up as an arithmetic intermediate (e.g. scaling
     by 0), never as an isomorphism class of an actual bundle.
     """
+
+    __slots__ = ()
 
     @classmethod
     def of(

@@ -56,13 +56,12 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from itertools import compress, repeat
 from operator import itemgetter, sub
-from typing import Mapping, Sequence
 
 from .bundles import MAX_LOOP_WORDS, BundleSum, ContextMismatchError, IndecomposableBundle
-from .bundles import _RECURRENCE_STEPS, TorsionContext, _key, _spread, tensor_indec
+from .bundles import _RECURRENCE_STEPS, TorsionContext, _key, _set, _spread, _Value, tensor_indec
 
 
 # struct/memoryview format of each slot width that one C call packs or reads
@@ -168,16 +167,19 @@ class PowerTooLargeError(ValueError):
     power that would take more than ``MAX_LOOP_WORDS`` word operations."""
 
 
-@dataclass(frozen=True)
-class BivariateCharacter:
+class BivariateCharacter(_Value):
     """Sparse Laurent polynomial in t (line variable) and q (weight variable).
 
     Keys are (t_exponent, q_exponent) pairs with the t-exponent canonical in
-    the context; values are nonzero integers.  Treat instances as immutable.
+    the context; values are nonzero integers (none by default).  Treat
+    ``coeffs`` as immutable.
     """
 
-    context: TorsionContext
-    coeffs: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("context", "coeffs")
+
+    def __init__(self, context: TorsionContext, coeffs: dict[tuple[int, int], int] | None = None):
+        _set(self, "context", context)
+        _set(self, "coeffs", {} if coeffs is None else coeffs)
 
     @classmethod
     def of(
@@ -411,13 +413,15 @@ def _recurrence_power(
     return result
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(_Value):
     """Outcome of comparing the tensor rule against the character oracle."""
 
-    agrees: bool
-    from_formula: BundleSum
-    from_character: BundleSum
+    __slots__ = ("agrees", "from_formula", "from_character")
+
+    def __init__(self, agrees: bool, from_formula: BundleSum, from_character: BundleSum):
+        _set(self, "agrees", agrees)
+        _set(self, "from_formula", from_formula)
+        _set(self, "from_character", from_character)
 
     def __bool__(self) -> bool:
         return self.agrees

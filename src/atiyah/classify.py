@@ -23,13 +23,14 @@ same composition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .bundles import (
     IndecomposableBundle,
     KRingElement,
     TorsionContext,
+    _set,
+    _Value,
 )
 
 
@@ -58,20 +59,22 @@ class PresentationKind(str, Enum):
 _KINDS = {(kind.line, kind.unipotent): kind for kind in PresentationKind}
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(_Value):
     """R(E) as an abstract ring, plus labels for its K-ring generators."""
 
-    kind: PresentationKind
-    modulus: int | None = None
-    generators: tuple[str, ...] = ()
+    __slots__ = ("kind", "modulus", "generators")
 
-    def __post_init__(self):
-        cyclotomic = self.kind.line == "cyclotomic"
-        if cyclotomic and (self.modulus is None or self.modulus < 1):
+    def __init__(
+        self, kind: PresentationKind, modulus: int | None = None, generators: tuple[str, ...] = ()
+    ):
+        cyclotomic = kind.line == "cyclotomic"
+        if cyclotomic and (modulus is None or modulus < 1):
             raise ValueError("cyclotomic modulus must be >= 1")
-        if not cyclotomic and self.modulus is not None:
+        if not cyclotomic and modulus is not None:
             raise ValueError("modulus only applies to cyclotomic kinds")
+        _set(self, "kind", kind)
+        _set(self, "modulus", modulus)
+        _set(self, "generators", generators)
 
     def __str__(self) -> str:
         line = self.kind.line
@@ -93,17 +96,17 @@ def krull_dimension(presentation: RingPresentation) -> int:
     return (kind.line == "laurent") + kind.unipotent
 
 
-@dataclass(frozen=True)
-class GroupScheme:
+class GroupScheme(_Value):
     """A finite product of the factors 1, mu_m, Gm, Ga."""
 
-    factors: tuple[str, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        for f in self.factors:
+    def __init__(self, factors: tuple[str, ...]):
+        for f in factors:
             if f in ("1", "Gm", "Ga") or f.startswith("mu_"):
                 continue
             raise ValueError(f"unknown group factor {f!r}")
+        _set(self, "factors", factors)
 
     @property
     def dimension(self) -> int:
@@ -113,8 +116,7 @@ class GroupScheme:
         return " x ".join(self.factors) if self.factors else "1"
 
 
-@dataclass(frozen=True)
-class IndexFamily:
+class IndexFamily(_Value):
     """One closed-form family of members L^e ⊗ F_j inside an S-set.
 
     Torsion contexts constrain exponents by a range of residues; the
@@ -122,12 +124,24 @@ class IndexFamily:
     Either may couple the index to the exponent by j <= index_slope·|e| + 1.
     """
 
-    description: str
-    exponent_residues: range | None = None
-    min_abs_exponent: int = 0
-    exponent_parity: int | None = None
-    index_parity: int | None = None
-    index_slope: int | None = None
+    __slots__ = ("description", "exponent_residues", "min_abs_exponent", "exponent_parity",
+                 "index_parity", "index_slope")
+
+    def __init__(
+        self,
+        description: str,
+        exponent_residues: range | None = None,
+        min_abs_exponent: int = 0,
+        exponent_parity: int | None = None,
+        index_parity: int | None = None,
+        index_slope: int | None = None,
+    ):
+        _set(self, "description", description)
+        _set(self, "exponent_residues", exponent_residues)
+        _set(self, "min_abs_exponent", min_abs_exponent)
+        _set(self, "exponent_parity", exponent_parity)
+        _set(self, "index_parity", index_parity)
+        _set(self, "index_slope", index_slope)
 
     def contains(self, bundle: IndecomposableBundle) -> bool:
         e, j = bundle.exponent, bundle.index
@@ -145,13 +159,20 @@ class IndexFamily:
         return True
 
 
-@dataclass(frozen=True)
-class SSetDescription:
+class SSetDescription(_Value):
     """S(E) as a finite part plus closed-form infinite families."""
 
-    context: TorsionContext
-    finite_part: tuple[IndecomposableBundle, ...]
-    families: tuple[IndexFamily, ...]
+    __slots__ = ("context", "finite_part", "families")
+
+    def __init__(
+        self,
+        context: TorsionContext,
+        finite_part: tuple[IndecomposableBundle, ...],
+        families: tuple[IndexFamily, ...],
+    ):
+        _set(self, "context", context)
+        _set(self, "finite_part", finite_part)
+        _set(self, "families", families)
 
     def contains(self, bundle: IndecomposableBundle) -> bool:
         return bundle in self.finite_part or any(
@@ -391,11 +412,13 @@ def s_set_reachable(
     return out
 
 
-@dataclass(frozen=True)
-class IntegerPolynomial:
+class IntegerPolynomial(_Value):
     """Polynomial with integer coefficients, stored ascending by degree."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]):
+        _set(self, "coefficients", coefficients)
 
     @classmethod
     def of(cls, coefficients) -> IntegerPolynomial:
@@ -519,21 +542,37 @@ def express_in_generator(index: int, chain: str = "even") -> IntegerPolynomial:
     return IntegerPolynomial.of(_odd_chain(index))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_Value):
     """Everything the classification knows about one input bundle."""
 
-    curve: str  # "elliptic" or "p1"
-    s_set: object
-    presentation: RingPresentation
-    krull_dim: int
-    group: GroupScheme
-    correspondence_holds: bool
-    rank: int | None = None
-    torsion: int | None = None
-    degrees: tuple[int, ...] | None = None
-    minimality_note: str | None = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ("curve", "s_set", "presentation", "krull_dim", "group", "correspondence_holds",
+                 "rank", "torsion", "degrees", "minimality_note", "notes")
+
+    def __init__(
+        self,
+        curve: str,  # "elliptic" or "p1"
+        s_set: object,
+        presentation: RingPresentation,
+        krull_dim: int,
+        group: GroupScheme,
+        correspondence_holds: bool,
+        rank: int | None = None,
+        torsion: int | None = None,
+        degrees: tuple[int, ...] | None = None,
+        minimality_note: str | None = None,
+        notes: tuple[str, ...] = (),
+    ):
+        _set(self, "curve", curve)
+        _set(self, "s_set", s_set)
+        _set(self, "presentation", presentation)
+        _set(self, "krull_dim", krull_dim)
+        _set(self, "group", group)
+        _set(self, "correspondence_holds", correspondence_holds)
+        _set(self, "rank", rank)
+        _set(self, "torsion", torsion)
+        _set(self, "degrees", degrees)
+        _set(self, "minimality_note", minimality_note)
+        _set(self, "notes", notes)
 
 
 def _compose(
@@ -662,11 +701,13 @@ def correspondence_grid(r_max: int, n_max: int) -> tuple[tuple[int, int, int, in
     )
 
 
-@dataclass(frozen=True)
-class P1SSet:
+class P1SSet(_Value):
     """S(E) on the projective line: all twists O(k·step), or just O if step=0."""
 
-    step: int
+    __slots__ = ("step",)
+
+    def __init__(self, step: int):
+        _set(self, "step", step)
 
     def contains(self, degree: int) -> bool:
         if self.step == 0:

@@ -15,10 +15,10 @@ they act through the dual.  Parentheses nest at most ``MAX_NESTING`` deep,
 which also bounds the depth of the expression tree.
 
 The source is tokenized by one compiled pattern into (kind, value,
-position) tuples, each line power ``L^e`` and each ``F_r`` that no exponent
-follows as one token holding its ``Atom``, and parsed into a tree of four
-node kinds: :class:`Atom` (a class L^e ⊗ F_r), :class:`Sum`,
-:class:`Product` and :class:`Power`.  An ``Atom`` is ``O``, ``L`` or
+position) tuples, each line power ``L^e`` and each ``F_r`` as one token
+holding its ``Atom``, and parsed into a tree of four node kinds:
+:class:`Atom` (a class L^e ⊗ F_r), :class:`Sum`, :class:`Product` and
+:class:`Power`, immutable values.  An ``Atom`` is ``O``, ``L`` or
 ``F_r``, and also a line power (``L^e``, ``(L^-1)^-1^2``, ``O^5``) and a
 product of line atoms with at most one ``F_r``: each class name
 ``L^e*F_r`` parses to one ``Atom(e, r)``, which evaluates by one
@@ -35,9 +35,8 @@ to any power in one word operation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .bundles import BundleSum, IndecomposableBundle, TorsionContext
+from .bundles import BundleSum, IndecomposableBundle, TorsionContext, _set, _Value
 
 MAX_NESTING = 100
 
@@ -62,14 +61,14 @@ _PUNCT = {"+": "plus", "*": "star", "^": "caret", "(": "lparen", ")": "rparen",
 # decimal digits, one grammar character, whitespace, or any other character.
 # Over str, \d and \s match exactly the characters that str.isdecimal and
 # str.isspace accept.  A class name is a line power L^e or an Atiyah atom F_r,
-# F(r) or Fr with r >= 1, written without spaces in at most 18 ASCII digits,
-# followed by no digit and by no '^' after optional whitespace: its tokens
-# would make one Atom in _Parser.factor, and any other text (F_0, L ^ 2,
-# L^2^3, F_3^2, a longer or non-ASCII literal) keeps the tokens of its
+# F(r) or Fr with r >= 1, written without spaces in at most 18 ASCII digits
+# and followed by no digit: its tokens would make one Atom in _Parser.factor.
+# A '^' after it starts an exponent chain on that Atom, as it would after the
+# characters' tokens (L^2^3 is (L^2)^3, F_3^2 is (F_3)^2).  Any other text
+# (F_0, L ^ 2, a longer or non-ASCII literal) keeps the tokens of its
 # characters, from which the parser builds that Atom or reports the error.
 _TOKEN = re.compile(
-    r"(L\^-?[0-9]{1,18}|F(?:_?(?=0*[1-9])[0-9]{1,18}|\((?=0*[1-9])[0-9]{1,18}\)))"
-    r"(?!\d)(?!\s*\^)"
+    r"(L\^-?[0-9]{1,18}|F(?:_?(?=0*[1-9])[0-9]{1,18}|\((?=0*[1-9])[0-9]{1,18}\)))(?!\d)"
     r"|(\d+)|([-+*^()_OLF])|\s+|(.)"
 )
 
@@ -109,18 +108,22 @@ def _tokenize(src: str) -> list[Token]:
 
 # -- AST ------------------------------------------------------------------
 
-class Expression:
+class Expression(_Value):
+    __slots__ = ()
+
     def evaluate(self, context: TorsionContext) -> BundleSum:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Atom(Expression):
     """The class L^exponent ⊗ F_index: ``O``, ``L``, ``F_r``, a line power
     or a product of line atoms with at most one ``F_r``."""
 
-    exponent: int
-    index: int
+    __slots__ = ("exponent", "index")
+
+    def __init__(self, exponent: int, index: int):
+        _set(self, "exponent", exponent)
+        _set(self, "index", index)
 
     def evaluate(self, context):
         return BundleSum(context, {context.bundle(self.exponent, self.index): 1})
@@ -129,12 +132,14 @@ class Atom(Expression):
 _O, _L = Atom(0, 1), Atom(1, 1)
 
 
-@dataclass(frozen=True)
 class Power(Expression):
     """A chain base^e1^e2^..., applied left to right."""
 
-    base: Expression
-    exponents: tuple[int, ...]
+    __slots__ = ("base", "exponents")
+
+    def __init__(self, base: Expression, exponents: tuple[int, ...]):
+        _set(self, "base", base)
+        _set(self, "exponents", exponents)
 
     def evaluate(self, context):
         result = self.base.evaluate(context)
@@ -143,9 +148,11 @@ class Power(Expression):
         return result
 
 
-@dataclass(frozen=True)
 class Product(Expression):
-    factors: tuple[Expression, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Expression, ...]):
+        _set(self, "factors", factors)
 
     def evaluate(self, context):
         result = self.factors[0].evaluate(context)
@@ -154,11 +161,13 @@ class Product(Expression):
         return result
 
 
-@dataclass(frozen=True)
 class Sum(Expression):
     """Parts (multiplicity, node): ``k X`` is (k, X), any other part (1, X)."""
 
-    parts: tuple[tuple[int, Expression], ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[int, Expression], ...]):
+        _set(self, "parts", parts)
 
     def evaluate(self, context):
         """Every part's terms, times its multiplicity, added into one dict;
